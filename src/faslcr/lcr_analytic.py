@@ -1,15 +1,24 @@
 """Exact N-port level crossing rate and its closed-form specializations.
 
-The general expression for the downward crossing rate of the selected
-envelope at threshold ``x_th`` is
+With s_k = sigma^2 (1 - mu_k^2), let
 
-    L(x_th) = sqrt(2 pi) x_th f_D / sigma * { first + sum_{i=2}^N term_i }
+    F_k(x1) = 1 - Q1(sqrt(2 mu_k^2/s_k) x1, sqrt(2/s_k) x_th),   k = 2..N,
 
-where ``first`` handles the event that the reference port carries the
-maximum and each ``term_i`` handles port i doing so.  Every factor of the
-form [1 - Q1(.)] is the probability mass of one bivariate pair below the
-threshold, and the inner integral of ``term_i`` runs over the reference
-amplitude.  Three special cases collapse to closed forms:
+be the probability that port k stays below the threshold given the reference
+amplitude x1, and P_{-i} = prod_{k != i} F_k the product that leaves port i
+out.  The downward crossing rate of the selected envelope at ``x_th`` is
+
+    L(x_th) = sqrt(2 pi) x_th f_D / sigma
+              * { exp(-x_th^2/sigma^2) prod_k F_k(x_th)
+                  + int_0^{x_th} sum_{i=2}^N g_i(x1) P_{-i}(x1) / (1 - mu_i^2) dx1 }
+
+with g_i(x1) = (2 x1/sigma^2) exp(-(x_th^2 + x1^2)/s_i) I0(2 |mu_i| x_th x1/s_i).
+The first term covers the reference port carrying the maximum, and summand
+i covers port i doing so.  The N - 1 factors are computed once per
+quadrature node, every P_{-i} comes from prefix and suffix products of them,
+and the summed integrand is integrated in one adaptive pass, so the Marcum
+work per node grows like N rather than N^2.  Three special cases collapse to
+closed forms:
 
 * all correlations zero  -> the i.i.d. selection-combining rate,
 * all correlations one   -> the classical single-channel Rayleigh rate,
@@ -69,8 +78,12 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 # ~1e-4 of 1 need an explicitly larger cap.
 SERIES_TOLERANCE = Tolerance(rel_eps=1e-12, max_terms=500)
 
-# The exact rate's Marcum factors see Poisson means up to mu^2 x1^2/(s^2(1-mu^2));
-# dense in-range port layouts (e.g. 64 ports at W = 0.1) push this to ~1e4.
+# The exact rate's Marcum factors see Poisson means up to mu^2 x_th^2/s with
+# s = sigma^2 (1 - mu^2).  Dense port layouts push these past 700, onto the
+# scalar peak-centred Marcum loop, whose term count grows like their square
+# root; the cap covers the layouts the test suite and benchmark run.  It does
+# not make very dense layouts (e.g. 64 ports at W = 0.1) affordable: those
+# need a bounded-cost large-argument Marcum route.
 _THEOREM1_MARCUM = Tolerance(rel_eps=1e-12, max_terms=20000)
 
 # Paired fixed-order Gauss panels; the high rule's value is kept, the
@@ -180,6 +193,18 @@ def lcr_identical(cfg, x_th):
 # Exact N-port rate
 # ---------------------------------------------------------------------------
 
+def _below_threshold_factors(cfg, profile, x1, x_th, tol):
+    """(N-1, m) matrix of F_k(x1) = 1 - Q1(a_k x1, b_k) over ports k = 2..N
+    (rows) and the m nodes of the 1-D array ``x1`` (columns), with
+    a_k = sqrt(2 mu_k^2/s_k), b_k = sqrt(2/s_k) x_th and s_k = sigma^2 (1 - mu_k^2).
+    """
+    mu = np.abs(np.asarray(profile.mu[1:], dtype=float))[:, None]
+    s = cfg.sigma2 * (1.0 - mu * mu)
+    a = np.sqrt(2.0 * mu * mu / s) * x1
+    b = np.sqrt(2.0 / s) * x_th
+    return 1.0 - marcum_q1(a, b, tol)
+
+
 def surviving_product(cfg, profile, x1, x_th, skip_index, tol=_THEOREM1_MARCUM):
     """prod_{k>=2, k != skip_index} [1 - Q1(sqrt(2 mu_k^2/s_k) x1, sqrt(2/s_k) x_th)]
     with s_k = sigma^2 (1 - mu_k^2).
@@ -199,17 +224,9 @@ def surviving_product(cfg, profile, x1, x_th, skip_index, tol=_THEOREM1_MARCUM):
     x1_arr = np.atleast_1d(x1_arr)
     if not np.all(np.isfinite(x1_arr)) or np.any(x1_arr < 0.0) or np.any(x1_arr > x_th):
         raise DomainError("x1 must satisfy 0 <= x1 <= x_th")
-    result = np.ones_like(x1_arr)
-    sigma2 = cfg.sigma2
-    for k in range(2, cfg.n_ports + 1):
-        if k == skip_index:
-            continue
-        mu = abs(profile.mu[k - 1])
-        s = sigma2 * (1.0 - mu * mu)
-        a = math.sqrt(2.0 * mu * mu / s) * x1_arr
-        b = math.sqrt(2.0 / s) * x_th
-        result = result * (1.0 - marcum_q1(a, b, tol))
-    result = np.clip(result, 0.0, 1.0)
+    factors = _below_threshold_factors(cfg, profile, x1_arr, x_th, tol)
+    kept = np.arange(2, cfg.n_ports + 1) != skip_index
+    result = np.clip(np.prod(factors[kept], axis=0), 0.0, 1.0)
     return float(result[0]) if scalar else result
 
 
@@ -217,36 +234,39 @@ def lcr_theorem1(cfg, profile, x_th, quad=DEFAULT_QUADRATURE):
     """Exact crossing rate of the N-port selected envelope, in crossings/second.
 
     The first term covers the reference port being the strongest at the
-    crossing instant; each summand of the second covers port i being the
-    strongest, integrating over the reference amplitude x1 in [0, x_th].  The
-    integrand fuses the Gaussian exponents with the scaled I0 so that the net
-    exponent -((x_th - |mu_i| x1)^2 + (1 - mu_i^2) x1^2)/s_i stays <= 0.
+    crossing instant; the integral covers every other port i being the
+    strongest, summed over i under one integral over the reference amplitude
+    x1 in [0, x_th] and evaluated in a single adaptive pass.  At each node the
+    N - 1 below-threshold factors are computed once, and the product leaving
+    out port i is the prefix product of the factors before i times the suffix
+    product of those after it.  It is never the full product divided by
+    factor i: factors reach exactly 0 in deep fades.  Each summand fuses the
+    Gaussian exponents with the scaled I0 so that the net exponent
+    -((x_th - |mu_i| x1)^2 + (1 - mu_i^2) x1^2)/s_i stays <= 0.
     """
     x_th = _validate_threshold(x_th)
     _check_profile(cfg, profile)
     sigma2 = cfg.sigma2
-    sigma = cfg.sigma
-    n = cfg.n_ports
+    mu = np.abs(np.asarray(profile.mu[1:], dtype=float))[:, None]
+    s = sigma2 * (1.0 - mu * mu)
 
-    first = math.exp(-x_th * x_th / sigma2) * surviving_product(
-        cfg, profile, x_th, x_th, skip_index=1
-    )
+    first = math.exp(-x_th * x_th / sigma2) * float(np.prod(
+        _below_threshold_factors(cfg, profile, np.array([x_th]), x_th, _THEOREM1_MARCUM)
+    ))
 
-    second = 0.0
-    for i in range(2, n + 1):
-        mu = abs(profile.mu[i - 1])
-        s = sigma2 * (1.0 - mu * mu)
+    def integrand(x1):
+        factors = _below_threshold_factors(cfg, profile, x1, x_th, _THEOREM1_MARCUM)
+        # leave_out[j] = prod_{l<j} factors[l] * prod_{l>j} factors[l]
+        leave_out = np.ones_like(factors)
+        np.cumprod(factors[:-1], axis=0, out=leave_out[1:])
+        leave_out[:-1] *= np.cumprod(factors[:0:-1], axis=0)[::-1]
+        v = 2.0 * mu * x_th * x1 / s
+        fused = v - (x_th * x_th + x1 * x1) / s
+        terms = bessel_i0_scaled(v) * np.exp(fused) * leave_out / (1.0 - mu * mu)
+        return (2.0 * x1 / sigma2) * np.sum(terms, axis=0)
 
-        def integrand(x1, _mu=mu, _s=s, _i=i):
-            v = 2.0 * _mu * x_th * x1 / _s
-            fused = v - (x_th * x_th + x1 * x1) / _s
-            prod = surviving_product(cfg, profile, x1, x_th, skip_index=_i)
-            return (2.0 * x1 / sigma2) * bessel_i0_scaled(v) * np.exp(fused) * prod
-
-        inner = _integrate_adaptive(integrand, 0.0, x_th, quad)
-        second += inner / (1.0 - mu * mu)
-
-    return _SQRT_2PI * x_th * cfg.f_doppler / sigma * (first + second)
+    second = _integrate_adaptive(integrand, 0.0, x_th, quad)
+    return _SQRT_2PI * x_th * cfg.f_doppler / cfg.sigma * (first + second)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Analytic crossing-rate paths against brute-force oracles and each other."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from faslcr.lcr_analytic import (
     lcr_two_port_series,
     surviving_product,
 )
-from faslcr.specfun import Tolerance
+from faslcr.specfun import _MARCUM_DIRECT_LIMIT, Tolerance
 
 from oracles import (
     marcum_q1_quad,
@@ -25,13 +26,47 @@ from oracles import (
     rayleigh_lcr,
     two_port_lcr_quad,
 )
-from scipy import integrate
+from scipy import integrate, special
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
 def uncorrelated(n):
     return CorrelationProfile(mu=(0.0,) * n)
+
+
+def theorem1_per_term_quad(cfg, prof, x_th):
+    """The exact rate with one quad per port i of g_i * surviving_product(skip_index=i).
+
+    Each port's term is integrated on its own, with the full Marcum product
+    rebuilt at every node; slow, used as the reference for lcr_theorem1's
+    single summed leave-one-out pass.
+    """
+    sigma2 = cfg.sigma2
+    mus = [abs(m) for m in prof.mu[1:]]
+    # Marcum Q1 changes route where alpha = mu^2 x1^2 / s crosses the direct
+    # series limit; the factors are not smooth across that switch.
+    switches = [math.sqrt(_MARCUM_DIRECT_LIMIT * sigma2 * (1.0 - m * m)) / m
+                for m in mus if m > 0.0]
+    first = math.exp(-x_th * x_th / sigma2) * surviving_product(
+        cfg, prof, x_th, x_th, skip_index=1
+    )
+    second = 0.0
+    for i, mu in enumerate(mus, start=2):
+        s = sigma2 * (1.0 - mu * mu)
+
+        def g(x1, _mu=mu, _s=s, _i=i):
+            v = 2.0 * _mu * x_th * x1 / _s
+            return (2.0 * x1 / sigma2 * special.i0e(v)
+                    * math.exp(v - (x_th * x_th + x1 * x1) / _s)
+                    * surviving_product(cfg, prof, x1, x_th, skip_index=_i))
+
+        # the integrand peaks at x1 = mu x_th, on a ridge of width ~sqrt(s)
+        points = [p for p in [mu * x_th] + switches if 0.0 < p < x_th]
+        val, _ = integrate.quad(g, 0.0, x_th, epsabs=1e-14, epsrel=1e-11,
+                                points=points or None, limit=400)
+        second += val / (1.0 - mu * mu)
+    return SQRT2PI * x_th * cfg.f_doppler / cfg.sigma * (first + second)
 
 
 class TestLcrIid:
@@ -231,7 +266,7 @@ class TestTheorem1:
                 rayleigh_lcr(1.0, 1.0, x), rel=1e-13
             )
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 12])
     def test_uncorrelated_reduction(self, n):
         cfg = FasConfig(n, 0.0, sigma2=2.0, f_doppler=3.0)
         prof = uncorrelated(n)
@@ -275,6 +310,24 @@ class TestTheorem1:
                 continue
             x = float(rng.uniform(0.05, 3.0)) * cfg.sigma
             assert lcr_theorem1(cfg, prof, x) >= 0.0
+
+    @pytest.mark.parametrize("n, w, x_th", [
+        (6, 0.3, 0.4), (6, 0.3, 1.2), (6, 0.3, 2.5), (8, 0.1, 1.758),
+    ])
+    def test_matches_per_term_reference(self, n, w, x_th):
+        cfg = FasConfig(n, w, sigma2=1.0, f_doppler=1.0)
+        prof = correlation_profile(cfg)
+        want = theorem1_per_term_quad(cfg, prof, x_th)
+        assert lcr_theorem1(cfg, prof, x_th) == pytest.approx(want, rel=1e-8)
+
+    def test_deep_fade_leave_one_out_is_finite(self):
+        # every below-threshold factor is exactly 0 at this threshold, so a
+        # leave-one-out product formed by division would be 0/0
+        cfg = FasConfig(4, 0.0, sigma2=1.0, f_doppler=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = lcr_theorem1(cfg, uncorrelated(4), 1e-9)
+        assert math.isfinite(got) and got >= 0.0
 
     def test_doppler_linearity(self):
         cfg1 = FasConfig(3, 0.2, sigma2=1.0, f_doppler=1.0)
