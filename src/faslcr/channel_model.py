@@ -101,6 +101,19 @@ class CorrelationProfile:
         ]
 
 
+def _validate_threshold(x_th):
+    """The threshold as a float; DomainError unless it is a finite number > 0."""
+    if not (isinstance(x_th, (int, float, np.floating)) and math.isfinite(x_th) and x_th > 0.0):
+        raise DomainError(f"threshold must be finite and > 0, got {x_th!r}")
+    return float(x_th)
+
+
+def _check_port_count(cfg, profile):
+    """ConfigError unless ``profile`` is a CorrelationProfile with cfg's port count."""
+    if not isinstance(profile, CorrelationProfile) or profile.n_ports != cfg.n_ports:
+        raise ConfigError("profile does not match the configuration's port count")
+
+
 def correlation_profile(cfg):
     """Correlation of each port with the reference port.
 
@@ -138,8 +151,7 @@ def joint_pdf(cfg, profile, point):
     The density is a product of N bivariate factors, each tying port k to the
     reference port; it is not a general N-variate Rayleigh law.
     """
-    if not isinstance(profile, CorrelationProfile) or profile.n_ports != cfg.n_ports:
-        raise ConfigError("profile does not match the configuration's port count")
+    _check_port_count(cfg, profile)
     x = np.asarray(point, dtype=float)
     if x.ndim != 1 or x.size != cfg.n_ports:
         raise DomainError(f"point must be a length-{cfg.n_ports} vector, got shape {x.shape}")

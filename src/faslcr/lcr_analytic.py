@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import IDENTICAL_CHANNEL_CUTOFF, CorrelationProfile, FasConfig
+from .channel_model import IDENTICAL_CHANNEL_CUTOFF, _check_port_count, _validate_threshold
 from .errors import AccuracyError, ConfigError, DomainError, SingularityError
 from .specfun import Tolerance, bessel_i0_scaled, marcum_q1
 
@@ -92,15 +92,8 @@ _GL_LO_NODES, _GL_LO_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _GL_HI_NODES, _GL_HI_WEIGHTS = np.polynomial.legendre.leggauss(21)
 
 
-def _validate_threshold(x_th):
-    if not (isinstance(x_th, (int, float, np.floating)) and math.isfinite(x_th) and x_th > 0.0):
-        raise DomainError(f"threshold must be finite and > 0, got {x_th!r}")
-    return float(x_th)
-
-
 def _check_profile(cfg, profile):
-    if not isinstance(profile, CorrelationProfile) or profile.n_ports != cfg.n_ports:
-        raise ConfigError("profile does not match the configuration's port count")
+    _check_port_count(cfg, profile)
     singular = profile.singular_ports()
     if singular:
         raise SingularityError(

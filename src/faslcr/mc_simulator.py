@@ -14,6 +14,18 @@ first quadrant: all discrete Doppler frequencies are distinct, and the
 time-averaged autocorrelation of a single realization reproduces
 J0(2 pi f_D tau) to quadrature accuracy rather than merely in ensemble mean.
 
+The sum is evaluated as one real matrix product per process.  The time axis
+is cut into blocks of B = isqrt(n) samples starting at s_b = b B dt, and
+
+    cos(w_m (s_b + k dt) + phi_m) = cos(A_bm) cos(w_m k dt) - sin(A_bm) sin(w_m k dt)
+
+with A_bm = w_m s_b + phi_m, so block b is row b of
+[cos A, -sin A] @ [cos(w k dt); sin(w k dt)], an (n/B x 2M) @ (2M x B)
+product whose rows are laid end to end and cut to n samples.  That takes
+about 2M(n/B + B) cosines and sines plus 2M n multiply-adds in one BLAS
+call, where the direct sum takes M n cosines, and it agrees with the direct
+sum to rounding (about 1e-11 at 640k samples).
+
 Seeding expands a 64-bit root seed into one independent substream per
 process via counter-keyed seed sequences: stream 2j drives x_j and stream
 2j+1 drives y_j, so enlarging the port count appends streams without
@@ -26,8 +38,10 @@ from typing import Optional
 
 import numpy as np
 
-from .channel_model import IDENTICAL_CHANNEL_CUTOFF, CorrelationProfile, FasConfig, correlation_profile
-from .errors import ConfigError, DomainError
+from .channel_model import (
+    IDENTICAL_CHANNEL_CUTOFF, FasConfig, _check_port_count, _validate_threshold, correlation_profile,
+)
+from .errors import ConfigError
 
 __all__ = [
     "SimParams",
@@ -152,18 +166,24 @@ def _clarke_process(rng, n_samples, dt, f_doppler, n_sinusoids):
     """One Gaussian process with variance 1/2 and Clarke Doppler spectrum.
 
     Arrival angles are a uniform quadrant grid rotated by a single random
-    offset (distinct discrete frequencies); phases are i.i.d. uniform.
+    offset (distinct discrete frequencies); phases are i.i.d. uniform.  The
+    sum of sinusoids is one blocked matrix product (see the module
+    docstring): block starts carry the phases, the shared in-block offsets
+    carry the time steps, and the last block is cut short when ``n_samples``
+    is not a multiple of the block length.
     """
     theta = rng.uniform(0.0, 2.0 * math.pi)
     phases = rng.uniform(0.0, 2.0 * math.pi, n_sinusoids)
     idx = np.arange(1, n_sinusoids + 1)
     angles = (2.0 * math.pi * idx - math.pi + theta) / (4.0 * n_sinusoids)
     omegas = 2.0 * math.pi * f_doppler * np.cos(angles)
-    t = np.arange(n_samples) * dt
-    acc = np.zeros(n_samples)
-    for omega, phase in zip(omegas, phases):
-        acc += np.cos(omega * t + phase)
-    return acc * math.sqrt(1.0 / n_sinusoids)
+    block = math.isqrt(n_samples)
+    n_blocks = -(-n_samples // block)
+    starts = np.outer(np.arange(n_blocks) * (block * dt), omegas) + phases
+    steps = np.outer(omegas, np.arange(block) * dt)
+    left = np.hstack([np.cos(starts), -np.sin(starts)])
+    right = np.vstack([np.cos(steps), np.sin(steps)])
+    return (left @ right).ravel()[:n_samples] * math.sqrt(1.0 / n_sinusoids)
 
 
 def generate_base_processes(cfg, sim):
@@ -186,8 +206,7 @@ def generate_base_processes(cfg, sim):
 
 def assemble_port_envelopes(cfg, profile, base):
     """Combine the base processes into the N per-port envelope series."""
-    if not isinstance(profile, CorrelationProfile) or profile.n_ports != cfg.n_ports:
-        raise ConfigError("profile does not match the configuration's port count")
+    _check_port_count(cfg, profile)
     if base.x.shape[0] != cfg.n_ports + 1:
         raise ConfigError(
             f"base processes carry {base.x.shape[0]} streams, expected {cfg.n_ports + 1}"
@@ -217,11 +236,11 @@ def fas_select(envelopes):
     if not envelopes:
         raise ConfigError("fas_select needs at least one port envelope")
     dt = envelopes[0].dt
-    size = envelopes[0].samples.size
+    selected = envelopes[0].samples.copy()
     for e in envelopes[1:]:
-        if e.dt != dt or e.samples.size != size:
+        if e.dt != dt or e.samples.size != selected.size:
             raise ConfigError("port envelopes must share dt and length")
-    selected = np.maximum.reduce([e.samples for e in envelopes])
+        np.maximum(selected, e.samples, out=selected)
     return EnvelopeSeries(samples=selected, dt=dt)
 
 
@@ -234,15 +253,14 @@ def count_crossings(series, x_th, f_doppler=None):
     """
     if not isinstance(series, EnvelopeSeries):
         raise ConfigError(f"expected EnvelopeSeries, got {type(series).__name__}")
-    if not (isinstance(x_th, (int, float, np.floating)) and math.isfinite(x_th) and x_th > 0.0):
-        raise DomainError(f"threshold must be finite and > 0, got {x_th!r}")
+    x_th = _validate_threshold(x_th)
     above = series.samples >= x_th
     crossings = int(np.count_nonzero(above[:-1] & ~above[1:]))
     duration = series.duration
     rate = crossings / duration
     nlcr = rate / f_doppler if f_doppler is not None else None
     return LcrEstimate(
-        threshold=float(x_th), rate=rate, nlcr=nlcr,
+        threshold=x_th, rate=rate, nlcr=nlcr,
         crossings=crossings, duration=duration,
     )
 
@@ -251,12 +269,16 @@ def estimate_lcr(cfg, sim, thresholds):
     """Full pipeline: generate, assemble, select, count at each threshold.
 
     Deterministic for a fixed (cfg, sim, thresholds): the whole run derives
-    from the root seed.
+    from the root seed.  Each stage's input is released as soon as the next
+    stage has consumed it, so the component processes are gone before the
+    selection runs.
     """
     profile = correlation_profile(cfg)
     base = generate_base_processes(cfg, sim)
     ports = assemble_port_envelopes(cfg, profile, base)
+    del base
     selected = fas_select(ports)
+    del ports
     return [count_crossings(selected, x, cfg.f_doppler) for x in thresholds]
 
 

@@ -54,6 +54,22 @@ def lower_gamma_quad(k, x):
     return val
 
 
+def clarke_process_direct(rng, n_samples, dt, f_doppler, n_sinusoids):
+    """Clarke sum-of-sinusoids process as a direct per-sinusoid cosine sum.
+
+    Takes theta, then the phases, from ``rng`` in the simulator's order, so
+    a generator in the same state yields the same realization.
+    """
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    phases = rng.uniform(0.0, 2.0 * math.pi, n_sinusoids)
+    t = np.arange(n_samples) * dt
+    acc = np.zeros(n_samples)
+    for m, phase in enumerate(phases, start=1):
+        angle = (2.0 * math.pi * m - math.pi + theta) / (4.0 * n_sinusoids)
+        acc += np.cos(2.0 * math.pi * f_doppler * math.cos(angle) * t + phase)
+    return acc / math.sqrt(n_sinusoids)
+
+
 def pair_density(sigma2, mu, x_ref, xk):
     """One bivariate factor of the joint envelope density (scipy I0)."""
     c = sigma2 * (1.0 - mu * mu)

@@ -13,6 +13,7 @@ from faslcr.mc_simulator import (
     EnvelopeSeries,
     LcrEstimate,
     SimParams,
+    _clarke_process,
     assemble_port_envelopes,
     count_crossings,
     estimate_lcr,
@@ -21,6 +22,12 @@ from faslcr.mc_simulator import (
     merge_estimates,
     slope_moment_check,
 )
+
+from oracles import clarke_process_direct
+
+
+def _stream_rng(seed, stream):
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +104,25 @@ class TestBaseProcesses:
         a = generate_base_processes(cfg, sim)
         b = generate_base_processes(cfg, sim)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+
+    @pytest.mark.parametrize("n_sinusoids", [8, 64])
+    @pytest.mark.parametrize("duration", [100.0, 100.2, 10000.0])   # 6400, 6413, 640000 samples
+    def test_matches_direct_sum(self, duration, n_sinusoids):
+        # square, ragged last block and full length against the per-sinusoid sum
+        cfg = FasConfig(1, 0.0)
+        sim = SimParams(sample_rate=64.0, duration=duration, n_sinusoids=n_sinusoids, seed=13)
+        base = generate_base_processes(cfg, sim)
+        for stream, got in enumerate((base.x[0], base.y[0])):
+            want = clarke_process_direct(_stream_rng(sim.seed, stream), sim.n_samples, sim.dt,
+                                         cfg.f_doppler, n_sinusoids)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("n_sinusoids", [8, 64])
+    def test_two_samples_match_direct_sum(self, n_sinusoids):
+        # below the simulator's 1600-sample floor: one-sample blocks
+        got = _clarke_process(_stream_rng(3, 0), 2, 1.0 / 64.0, 1.0, n_sinusoids)
+        want = clarke_process_direct(_stream_rng(3, 0), 2, 1.0 / 64.0, 1.0, n_sinusoids)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
 
 class TestAssemble:
@@ -237,6 +263,16 @@ class TestEstimateLcr:
         a = estimate_lcr(cfg, sim, [0.5, 1.0])
         b = estimate_lcr(cfg, sim, [0.5, 1.0])
         assert a == b
+
+    @pytest.mark.parametrize("cfg, sim, thresholds, crossings", [
+        (FasConfig(4, 0.3), SimParams.from_cycles(FasConfig(4, 0.3), 1e3, seed=20260808),
+         [0.3, 0.7, 1.0, 1.5], [7, 508, 1062, 907]),
+        (FasConfig(3, 0.1), SimParams(sample_rate=64.0, duration=100.2, seed=5),
+         [0.5, 1.0], [80, 103]),
+    ])
+    def test_seeded_realization_locked(self, cfg, sim, thresholds, crossings):
+        # a change to the synthesis must not silently re-draw the channel
+        assert [e.crossings for e in estimate_lcr(cfg, sim, thresholds)] == crossings
 
     def test_fully_correlated_profile_matches_identical(self):
         # W = 0 collapses every port onto the reference port
