@@ -108,6 +108,25 @@ def _validate_threshold(x_th):
     return float(x_th)
 
 
+def _validate_mu(mu):
+    """A pair correlation as a float.
+
+    DomainError unless it is a finite number >= 0; SingularityError at or
+    above the identical-channel cutoff, where the pair density is singular.
+    """
+    if not (
+        isinstance(mu, (int, float, np.integer, np.floating))
+        and math.isfinite(mu) and mu >= 0.0
+    ):
+        raise DomainError(f"mu must be finite and >= 0, got {mu!r}")
+    mu = float(mu)
+    if mu >= IDENTICAL_CHANNEL_CUTOFF:
+        raise SingularityError(
+            f"mu = {mu!r} is at the identical-channel singularity; use lcr_identical"
+        )
+    return mu
+
+
 def _check_port_count(cfg, profile):
     """ConfigError unless ``profile`` is a CorrelationProfile with cfg's port count."""
     if not isinstance(profile, CorrelationProfile) or profile.n_ports != cfg.n_ports:
@@ -174,12 +193,7 @@ def bivariate_pdf(sigma2, mu, x1, x2):
     """Two-port specialization of the joint envelope density; symmetric in (x1, x2)."""
     if not (math.isfinite(sigma2) and sigma2 > 0.0):
         raise DomainError(f"sigma2 must be finite and > 0, got {sigma2!r}")
-    if not (math.isfinite(mu) and mu >= 0.0):
-        raise DomainError(f"mu must be finite and >= 0, got {mu!r}")
-    if mu >= IDENTICAL_CHANNEL_CUTOFF:
-        raise SingularityError(
-            f"mu = {mu!r} is at the identical-channel singularity"
-        )
+    mu = _validate_mu(mu)
     x1 = float(x1)
     x2 = float(x2)
     if not (math.isfinite(x1) and math.isfinite(x2)) or x1 < 0.0 or x2 < 0.0:

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import IDENTICAL_CHANNEL_CUTOFF, _check_port_count, _validate_threshold
+from .channel_model import _check_port_count, _validate_mu, _validate_threshold
 from .errors import AccuracyError, ConfigError, DomainError, SingularityError
-from .specfun import Tolerance, bessel_i0_scaled, marcum_q1
+from .specfun import Tolerance, _poisson_mixture, bessel_i0_scaled, marcum_q1
 
 __all__ = [
     "QuadratureSpec",
@@ -276,115 +276,25 @@ def lcr_two_port_series(cfg, mu, x_th, tol=SERIES_TOLERANCE):
     is summed in its regularized form: each term equals the Poisson(mu^2 y)
     weight at k times the survivor mass Pr[Poisson(y) > k], with the common
     factor 2 sqrt(2 pi) f_D (x_th/sigma) exp(-x_th^2/sigma^2) pulled out.
-    Summation starts at the dominant weight k0 = floor(mu^2 y) so that
-    correlations within 1e-6 of 1 (where y reaches ~1e6) stay computable;
-    terms are added outward until their relative contribution drops below
-    ``tol.rel_eps``.
+    The sum is the survivor form of the Poisson mixture behind ``marcum_q1``
+    and runs on the same peak-centred kernel: it starts at the dominant
+    weight k0 = floor(mu^2 y), so correlations within 1e-6 of 1 (where y
+    reaches ~1e6) stay computable, and each survivor mass is summed on its
+    small side, so the rate stays exact in deep fades (x_th down to 1e-10
+    sigma).  Terms are added outward until their relative contribution drops
+    below ``tol.rel_eps``; AccuracyError carries the prefactor times the
+    partial sum.
     """
     x_th = _validate_threshold(x_th)
-    if not (isinstance(mu, (int, float, np.floating)) and math.isfinite(mu) and 0.0 <= mu):
-        raise DomainError(f"mu must be finite and >= 0, got {mu!r}")
-    mu = float(mu)
-    if mu >= IDENTICAL_CHANNEL_CUTOFF:
-        raise SingularityError(
-            f"mu = {mu!r} is at the identical-channel singularity; "
-            "use lcr_identical"
-        )
+    mu = _validate_mu(mu)
     rho2 = x_th * x_th / cfg.sigma2
     prefactor = 2.0 * _SQRT_2PI * cfg.f_doppler * (x_th / cfg.sigma) * math.exp(-rho2)
     y = rho2 / (1.0 - mu * mu)
-    lam = mu * mu * y
-    mixture, converged = _poisson_survivor_mixture(lam, y, tol)
-    if not converged:
+    try:
+        mixture = _poisson_mixture(mu * mu * y, y, tol, upper=True)
+    except AccuracyError as exc:
         raise AccuracyError(
             f"two-port series did not converge within {tol.max_terms} terms",
-            partial=prefactor * mixture,
-        )
+            partial=prefactor * exc.partial,
+        ) from exc
     return prefactor * mixture
-
-
-def _poisson_survivor_mixture(lam, y, tol):
-    """sum_k PoisPmf(k; lam) * Pr[Pois(y) > k], summed outward from floor(lam).
-
-    Returns (value, converged).  The value lies in [0, 1]; it tends to the
-    two-sided limit 1/2 as lam -> y and to 1 - exp(-y) as lam -> 0.
-    """
-    if lam == 0.0:
-        return -math.expm1(-y), True
-    k0 = int(lam)
-    w0 = math.exp(k0 * math.log(lam) - lam - math.lgamma(k0 + 1))
-    surv0 = _poisson_survivor(k0, y)
-    total = w0 * surv0
-    terms = 1
-
-    # upward from k0: weights shrink by lam/(k+1) <= 1, survivor shrinks too
-    w, surv = w0, surv0
-    r = _pmf(k0 + 1, y)
-    k = k0
-    up_done = False
-    while terms < tol.max_terms:
-        w = w * lam / (k + 1)
-        surv = max(surv - r, 0.0)
-        k += 1
-        r = r * y / (k + 1)
-        term = w * surv
-        total += term
-        terms += 1
-        if term <= tol.rel_eps * total:
-            up_done = True
-            break
-    if not up_done:
-        return min(total, 1.0), False
-
-    # downward from k0: weights shrink by k/lam <= 1, survivor grows toward 1
-    w, surv = w0, surv0
-    r = _pmf(k0, y)
-    k = k0
-    while k > 0 and terms < tol.max_terms:
-        w = w * k / lam
-        surv = min(surv + r, 1.0)
-        k -= 1
-        r = r * (k + 1) / y
-        term = w * surv
-        total += term
-        terms += 1
-        if term <= tol.rel_eps * total:
-            return min(total, 1.0), True
-    return min(total, 1.0), k == 0
-
-
-def _pmf(k, lam):
-    if lam == 0.0:
-        return 1.0 if k == 0 else 0.0
-    return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
-
-
-def _poisson_survivor(k0, lam):
-    """Pr[Poisson(lam) > k0] without cancellation, any lam."""
-    if k0 < 0:
-        return 1.0
-    if lam == 0.0:
-        return 0.0
-    if k0 >= lam:
-        # small upper tail, summed directly
-        r = _pmf(k0 + 1, lam)
-        tail = r
-        j = k0 + 1
-        while True:
-            r = r * lam / (j + 1)
-            j += 1
-            tail += r
-            if r <= 1e-18 * tail or r == 0.0:
-                break
-        return min(tail, 1.0)
-    # complement of a small CDF, summed downward
-    r = _pmf(k0, lam)
-    cdf = r
-    j = k0
-    while j > 0:
-        r = r * j / lam
-        j -= 1
-        cdf += r
-        if r <= 1e-18 * cdf:
-            break
-    return max(1.0 - cdf, 0.0)

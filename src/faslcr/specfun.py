@@ -7,6 +7,14 @@ Provides the four primitives the crossing-rate formulas are built from:
 * ``marcum_q1``        -- Q1(a, b), first-order Marcum Q-function
 * ``lower_gamma_int``  -- gamma(k+1, x), lower incomplete gamma, integer order
 
+Q1 and the two-port crossing-rate series are one sum, a Poisson(alpha)-weighted
+mixture of one Poisson(beta) tail: Q1 mixes CDFs, the series survivors.  Both
+run on one peak-centred scalar kernel, ``_poisson_mixture``, over one
+Poisson-tail function, ``_poisson_tail``: ``marcum_q1`` calls it (CDF side)
+for alpha > 700, and ``lcr_analytic.lcr_two_port_series`` (survivor side)
+for every argument.  Smaller alpha in Q1 goes through a vectorised from-zero
+series instead.
+
 All functions accept scalars or numpy arrays (broadcast where meaningful) and
 are pure, so they are safe to call concurrently.  I0 is only ever exposed in
 its exponentially scaled form: the crossing-rate integrands contain products
@@ -204,7 +212,8 @@ def marcum_q1(a, b, tol=DEFAULT_TOLERANCE):
     if not direct.all():
         big = ~direct
         out[big] = [
-            _marcum_peak(al, be, tol) for al, be in zip(alpha[big], beta[big])
+            _poisson_mixture(al, be, tol, upper=False)
+            for al, be in zip(alpha[big], beta[big])
         ]
     out[beta == 0.0] = 1.0
     out = out.reshape(shape)
@@ -232,23 +241,32 @@ def _marcum_direct(alpha, beta, tol):
     )
 
 
-def _marcum_peak(alpha, beta, tol):
-    """Scalar summation centred on k0 = floor(alpha), seeded in log space."""
+def _poisson_mixture(alpha, beta, tol, upper):
+    """sum_k PoisPmf(k; alpha) * T(k; beta), summed outward from k0 = floor(alpha).
+
+    T(k; beta) is the Poisson(beta) survivor Pr[Poisson(beta) > k] when
+    ``upper`` is true and the CDF Pr[Poisson(beta) <= k] otherwise.  The CDF
+    mixture is Q1(sqrt(2 alpha), sqrt(2 beta)); the survivor mixture is the
+    two-port crossing-rate series.  The weights are seeded at their peak in
+    log space, so any alpha is reachable, and T moves by one signed
+    Poisson(beta) pmf per step.  Raises AccuracyError (carrying the partial
+    sum) if ``tol.max_terms`` runs out first.
+    """
     k0 = int(alpha)
-    log_w0 = k0 * math.log(alpha) - alpha - math.lgamma(k0 + 1)
-    w0 = math.exp(log_w0)
-    cdf0 = _poisson_cdf(k0, beta)
-    total = w0 * cdf0
+    w0 = _poisson_pmf(k0, alpha)
+    t0 = _poisson_tail(k0, beta, upper)
+    sign = -1.0 if upper else 1.0
+    total = w0 * t0
     terms = 1
 
-    # upward: w_{k+1} = w_k alpha/(k+1), cdf_{k+1} = cdf_k + pmf_{k+1}(beta)
-    w, cdf = w0, cdf0
-    r = _poisson_pmf(k0 + 1, beta)
+    # upward: w_{k+1} = w_k alpha/(k+1), T_{k+1} = T_k -/+ pmf_{k+1}(beta)
+    w, t = w0, t0
+    r = sign * _poisson_pmf(k0 + 1, beta)
     k = k0
     while terms < tol.max_terms:
         w = w * alpha / (k + 1)
-        cdf = min(cdf + r, 1.0)
-        term = w * cdf
+        t = t + r
+        term = w * t
         total += term
         terms += 1
         k += 1
@@ -257,30 +275,31 @@ def _marcum_peak(alpha, beta, tol):
             break
     else:
         raise AccuracyError(
-            f"marcum_q1 series did not converge within {tol.max_terms} terms",
-            partial=min(total, 1.0),
+            f"Poisson-mixture series did not converge within {tol.max_terms} terms",
+            partial=min(max(total, 0.0), 1.0),
         )
 
-    # downward: w_{k-1} = w_k k/alpha, cdf_{k-1} = cdf_k - pmf_k(beta)
-    w, cdf = w0, cdf0
-    r = _poisson_pmf(k0, beta)
+    # downward: w_{k-1} = w_k k/alpha, T_{k-1} = T_k +/- pmf_k(beta)
+    w, t = w0, t0
+    r = -sign * _poisson_pmf(k0, beta)
     k = k0
     while k > 0 and terms < tol.max_terms:
         w = w * k / alpha
-        cdf = max(cdf - r, 0.0)
+        t = t + r
         k -= 1
         r = r * (k + 1) / beta if beta > 0.0 else 0.0
-        term = w * cdf
+        term = w * t
         total += term
         terms += 1
         if term <= tol.rel_eps * total:
-            return min(total, 1.0)
-    if k == 0:
-        return min(total, 1.0)
-    raise AccuracyError(
-        f"marcum_q1 series did not converge within {tol.max_terms} terms",
-        partial=min(total, 1.0),
-    )
+            break
+    else:
+        if k > 0:
+            raise AccuracyError(
+                f"Poisson-mixture series did not converge within {tol.max_terms} terms",
+                partial=min(max(total, 0.0), 1.0),
+            )
+    return min(max(total, 0.0), 1.0)
 
 
 def _poisson_pmf(k, lam):
@@ -290,38 +309,34 @@ def _poisson_pmf(k, lam):
     return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
 
 
-def _poisson_cdf(k0, lam):
-    """Pr[Poisson(lam) <= k0], cancellation-free for arbitrarily large lam.
+def _poisson_tail(k0, lam, upper):
+    """Pr[Poisson(lam) > k0] if ``upper``, else Pr[Poisson(lam) <= k0]; k0 >= 0.
 
-    Sums pmf terms on the short side of the mode: downward from k0 when the
-    CDF is the small tail (k0 < lam), upward from k0 + 1 for its complement.
-    Both sums decay geometrically, ~10*sqrt(lam) terms.
+    Sums the pmf on the side of k0 with less mass: the CDF downward from k0
+    when k0 < lam - 1, otherwise the survivor upward from k0 + 1.  Either sum
+    is at most about 1/2, so only the complement of a sum is ever formed as
+    1 - sum and a small tail never comes out of cancellation (Shnidman, IEEE
+    Trans. Inf. Theory 35(2), 1989).  Both sums decay geometrically within
+    ~10*sqrt(lam) terms.
     """
-    if lam == 0.0:
-        return 1.0
-    if k0 < 0:
-        return 0.0
-    if k0 < lam:
+    survivor_side = k0 >= lam - 1.0
+    if survivor_side:
+        r = _poisson_pmf(k0 + 1, lam)
+        total = r
+        j = k0 + 1
+        while r > 1e-18 * total:
+            r = r * lam / (j + 1)
+            j += 1
+            total += r
+    else:
         r = _poisson_pmf(k0, lam)
         total = r
         j = k0
-        while j > 0:
+        while j > 0 and r > 1e-18 * total:
             r = r * j / lam
             j -= 1
             total += r
-            if r <= 1e-18 * total:
-                break
-        return min(total, 1.0)
-    r = _poisson_pmf(k0 + 1, lam)
-    tail = r
-    j = k0 + 1
-    while True:
-        r = r * lam / (j + 1)
-        j += 1
-        tail += r
-        if r <= 1e-18 * tail or r == 0.0:
-            break
-    return max(1.0 - tail, 0.0)
+    return total if upper == survivor_side else 1.0 - total
 
 
 # ---------------------------------------------------------------------------

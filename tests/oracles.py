@@ -9,7 +9,7 @@ compare faslcr's fast paths against these slow-but-simple routes.
 import math
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 
 def j0_series(x, terms=60):
@@ -104,6 +104,20 @@ def two_port_lcr_quad(sigma2, mu, x_th, fd=1.0):
         0.0, x_th, epsabs=1e-14, epsrel=1e-12, points=[ridge, x_th], limit=400,
     )
     return math.sqrt(2.0 * math.pi) * sigma * fd * val
+
+
+def two_port_lcr_ncx2(sigma2, mu, x_th, fd=1.0):
+    """Two-port crossing rate through scipy's noncentral chi-square CDF.
+
+    The series' Poisson(mu^2 y)-mixture of Poisson(y) survivor masses, with
+    y = x_th^2/(sigma^2 (1 - mu^2)), is Pr[chi'^2_2(2 mu^2 y) <= 2 y]; scipy
+    evaluates it without cancellation at small y, so it anchors deep fades.
+    """
+    sigma = math.sqrt(sigma2)
+    rho2 = x_th * x_th / sigma2
+    y = rho2 / (1.0 - mu * mu)
+    prefactor = 2.0 * math.sqrt(2.0 * math.pi) * fd * (x_th / sigma) * math.exp(-rho2)
+    return prefactor * stats.ncx2.cdf(2.0 * y, 2, 2.0 * mu * mu * y)
 
 
 def n_port_lcr_bruteforce(sigma2, mus, x_th, fd=1.0):

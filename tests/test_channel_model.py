@@ -184,6 +184,8 @@ class TestBivariatePdf:
         with pytest.raises(DomainError):
             bivariate_pdf(1.0, -0.2, 1.0, 1.0)
         with pytest.raises(DomainError):
+            bivariate_pdf(1.0, "0.5", 1.0, 1.0)
+        with pytest.raises(DomainError):
             bivariate_pdf(1.0, 0.5, -1.0, 1.0)
         with pytest.raises(DomainError):
             bivariate_pdf(0.0, 0.5, 1.0, 1.0)

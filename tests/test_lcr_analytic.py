@@ -24,6 +24,7 @@ from oracles import (
     n_port_lcr_bruteforce,
     pair_density,
     rayleigh_lcr,
+    two_port_lcr_ncx2,
     two_port_lcr_quad,
 )
 from scipy import integrate, special
@@ -144,6 +145,15 @@ class TestTwoPortSeries:
             want = two_port_lcr_quad(1.0, mu, x)
             assert lcr_two_port_series(cfg, mu, x) == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("mu", [0.3, 0.6, 0.9, 0.99])
+    def test_deep_fade_against_ncx2_oracle(self, mu):
+        # down to x_th = 1e-10 sigma (-200 dB), where each survivor mass is
+        # ~1e-20 and a survivor formed as 1 - CDF would come out 0
+        cfg = FasConfig(2, 0.1, sigma2=1.0, f_doppler=1.0)
+        for x in (1e-3, 1e-5, 1e-7, 1e-8, 1e-9, 1e-10):
+            want = two_port_lcr_ncx2(1.0, mu, x)
+            assert lcr_two_port_series(cfg, mu, x) == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_approach_to_identical_limit(self):
         # the deviation from the fully-correlated closed form shrinks like
         # sqrt(1 - mu^2): about 12.6% at mu = 0.9, 4.0% at 0.99, 1.3% at 0.999
@@ -192,6 +202,15 @@ class TestTwoPortSeries:
             lcr_two_port_series(cfg, -0.2, 1.0)
         with pytest.raises(DomainError):
             lcr_two_port_series(cfg, 0.5, -1.0)
+        with pytest.raises(DomainError):
+            lcr_two_port_series(cfg, "0.5", 1.0)
+
+    def test_numpy_scalar_correlations_accepted(self):
+        cfg = FasConfig(2, 0.1)
+        want = lcr_two_port_series(cfg, 0.5, 1.0)
+        assert lcr_two_port_series(cfg, np.float64(0.5), 1.0) == want
+        assert lcr_two_port_series(cfg, np.float32(0.5), 1.0) == want
+        assert lcr_two_port_series(cfg, np.int64(0), 1.0) == lcr_two_port_series(cfg, 0, 1.0)
 
 
 class TestSurvivingProduct:

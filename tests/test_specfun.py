@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from faslcr.errors import AccuracyError, ConfigError, DomainError
 from faslcr.specfun import (
     Tolerance,
+    _poisson_tail,
     bessel_i0_scaled,
     bessel_j0,
     lower_gamma_int,
@@ -165,6 +167,25 @@ class TestMarcumQ1:
         with pytest.raises(AccuracyError) as exc:
             marcum_q1(12.0, 12.0, Tolerance(rel_eps=1e-12, max_terms=5))
         assert 0.0 <= float(np.min(exc.value.partial))
+
+
+class TestPoissonTail:
+    @pytest.mark.parametrize("lam", [1e-12, 0.3, 0.99, 5.0, 700.0, 1e5])
+    def test_both_sides_against_scipy(self, lam):
+        mode = math.floor(lam)
+        spread = 10.0 * math.sqrt(lam) + 10.0
+        ks = {0, mode - 1, mode, math.floor(lam - spread), math.ceil(lam + spread)}
+        for k in sorted(k for k in ks if k >= 0):
+            # The pmf seed exp(k ln(lam) - lam - lgamma(k+1)) carries the
+            # rounding of its exponent, about eps times the size of its
+            # terms: up to 3e-12 at lam = 700 and 5e-10 at lam = 1e5.
+            seed = (k + 1) * abs(math.log(lam)) + lam + math.lgamma(k + 2)
+            rel = max(1e-13, 2.0 ** -52 * seed)
+            cdf = _poisson_tail(k, lam, upper=False)
+            sf = _poisson_tail(k, lam, upper=True)
+            assert cdf == pytest.approx(stats.poisson.cdf(k, lam), rel=rel, abs=0.0)
+            assert sf == pytest.approx(stats.poisson.sf(k, lam), rel=rel, abs=0.0)
+            assert cdf + sf == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
 
 class TestLowerGammaInt:
