@@ -16,7 +16,6 @@ Exit codes: 0 success, 1 tolerance breach, 2 configuration error,
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -141,31 +140,20 @@ def _evaluate_group(n, w, method, thresholds, base_cfg, sim):
     return rows
 
 
-def run_sweep(spec, base_cfg, workers=1):
+def run_sweep(spec, base_cfg):
     """Evaluate the full Cartesian grid of ``spec``.
 
     Rows come back sorted by (n, w, threshold, method); all grid points of
     one (n, w, method) group are computed together so MC reuses one channel
-    realization across thresholds.  Groups run on a worker pool when
-    ``workers`` > 1; the output ordering is independent of scheduling.
+    realization across thresholds.
     """
-    groups = [
-        (n, w, method)
+    rows = [
+        row
         for n in spec.n_list
         for w in spec.w_list
         for method in spec.methods
+        for row in _evaluate_group(n, w, method, spec.thresholds, base_cfg, spec.sim)
     ]
-
-    def job(group):
-        n, w, method = group
-        return _evaluate_group(n, w, method, spec.thresholds, base_cfg, spec.sim)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(job, groups))
-    else:
-        chunks = [job(g) for g in groups]
-    rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r.n, r.w, r.threshold_linear, METHODS.index(r.method)))
     return rows
 
@@ -347,7 +335,7 @@ def _load_config_file(path):
 _CONFIG_KEYS = (
     "n", "w", "sigma2", "fd", "thresholds", "thresholds_db", "methods",
     "method", "seed", "duration_cycles", "sample_rate_mult", "out",
-    "tolerance", "min_nlcr", "workers",
+    "tolerance", "min_nlcr",
 )
 
 
@@ -378,7 +366,6 @@ def _build_parser():
         p.add_argument("--sample-rate-mult", dest="sample_rate_mult",
                        help="sample rate divided by f_D (default 64)")
         p.add_argument("--out", help="output CSV path ('-' for stdout, the default)")
-        p.add_argument("--workers", help="worker threads for sweep groups (default 1)")
 
     p = sub.add_parser("analytic", help="evaluate one analytic method on a grid")
     add_common(p, "one")
@@ -442,7 +429,6 @@ def _run_command(args):
     thresholds = _thresholds_from(values, base_cfg.sigma)
     n_list = _parse_grid(_get(values, "n", "2"), kind=lambda v: int(float(v)))
     w_list = _parse_grid(_get(values, "w", "0.1"))
-    workers = _get(values, "workers", 1, int)
     out = _get(values, "out", "-")
 
     def sim_params():
@@ -470,7 +456,7 @@ def _run_command(args):
         spec = SweepSpec(thresholds=thresholds, n_list=n_list, w_list=w_list,
                          methods=(method, "monte_carlo"), sim=sim_params())
 
-    rows = run_sweep(spec, base_cfg, workers=workers)
+    rows = run_sweep(spec, base_cfg)
 
     if args.command == "compare":
         tolerance = _get(values, "tolerance", 0.05, float)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .channel_model import _check_port_count, _validate_mu, _validate_threshold
 from .errors import AccuracyError, ConfigError, DomainError, SingularityError
-from .specfun import Tolerance, _poisson_mixture, bessel_i0_scaled, marcum_q1
+from .specfun import Tolerance, bessel_i0_scaled, marcum_q1
 
 __all__ = [
     "QuadratureSpec",
@@ -79,11 +79,11 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 SERIES_TOLERANCE = Tolerance(rel_eps=1e-12, max_terms=500)
 
 # The exact rate's Marcum factors see Poisson means up to mu^2 x_th^2/s with
-# s = sigma^2 (1 - mu^2).  Dense port layouts push these past 700, onto the
-# scalar peak-centred Marcum loop, whose term count grows like their square
-# root; the cap covers the layouts the test suite and benchmark run.  It does
-# not make very dense layouts (e.g. 64 ports at W = 0.1) affordable: those
-# need a bounded-cost large-argument Marcum route.
+# s = sigma^2 (1 - mu^2), which dense port layouts push into the thousands.
+# The Marcum kernel is vectorised over all of them, with no scalar loop, but
+# its term count per element still grows like their square root; the cap
+# covers the layouts the test suite and benchmark run, and stays until a
+# bounded-cost large-argument Marcum route takes over such arguments.
 _THEOREM1_MARCUM = Tolerance(rel_eps=1e-12, max_terms=20000)
 
 # Paired fixed-order Gauss panels; the high rule's value is kept, the
@@ -190,12 +190,14 @@ def _below_threshold_factors(cfg, profile, x1, x_th, tol):
     """(N-1, m) matrix of F_k(x1) = 1 - Q1(a_k x1, b_k) over ports k = 2..N
     (rows) and the m nodes of the 1-D array ``x1`` (columns), with
     a_k = sqrt(2 mu_k^2/s_k), b_k = sqrt(2/s_k) x_th and s_k = sigma^2 (1 - mu_k^2).
+    The complement is summed directly, so factors near 0 in deep fades keep
+    their relative accuracy.
     """
     mu = np.abs(np.asarray(profile.mu[1:], dtype=float))[:, None]
     s = cfg.sigma2 * (1.0 - mu * mu)
     a = np.sqrt(2.0 * mu * mu / s) * x1
     b = np.sqrt(2.0 / s) * x_th
-    return 1.0 - marcum_q1(a, b, tol)
+    return marcum_q1(a, b, tol, True)
 
 
 def surviving_product(cfg, profile, x1, x_th, skip_index, tol=_THEOREM1_MARCUM):
@@ -276,14 +278,14 @@ def lcr_two_port_series(cfg, mu, x_th, tol=SERIES_TOLERANCE):
     is summed in its regularized form: each term equals the Poisson(mu^2 y)
     weight at k times the survivor mass Pr[Poisson(y) > k], with the common
     factor 2 sqrt(2 pi) f_D (x_th/sigma) exp(-x_th^2/sigma^2) pulled out.
-    The sum is the survivor form of the Poisson mixture behind ``marcum_q1``
-    and runs on the same peak-centred kernel: it starts at the dominant
-    weight k0 = floor(mu^2 y), so correlations within 1e-6 of 1 (where y
-    reaches ~1e6) stay computable, and each survivor mass is summed on its
-    small side, so the rate stays exact in deep fades (x_th down to 1e-10
-    sigma).  Terms are added outward until their relative contribution drops
-    below ``tol.rel_eps``; AccuracyError carries the prefactor times the
-    partial sum.
+    The sum is 1 - Q1(mu sqrt(2 y), sqrt(2 y)), the survivor form of the
+    Poisson mixture, and is one ``marcum_q1`` call with ``complement``: it
+    starts at the dominant weight k0 = floor(mu^2 y), so correlations within
+    1e-6 of 1 (where y reaches ~1e6) stay computable, and each survivor mass
+    is summed on its small side, so the rate stays exact in deep fades (x_th
+    down to 1e-10 sigma).  Terms are added outward until their relative
+    contribution drops below ``tol.rel_eps``; AccuracyError carries the
+    prefactor times the partial sum.
     """
     x_th = _validate_threshold(x_th)
     mu = _validate_mu(mu)
@@ -291,7 +293,7 @@ def lcr_two_port_series(cfg, mu, x_th, tol=SERIES_TOLERANCE):
     prefactor = 2.0 * _SQRT_2PI * cfg.f_doppler * (x_th / cfg.sigma) * math.exp(-rho2)
     y = rho2 / (1.0 - mu * mu)
     try:
-        mixture = _poisson_mixture(mu * mu * y, y, tol, upper=True)
+        mixture = marcum_q1(mu * math.sqrt(2.0 * y), math.sqrt(2.0 * y), tol, True)
     except AccuracyError as exc:
         raise AccuracyError(
             f"two-port series did not converge within {tol.max_terms} terms",

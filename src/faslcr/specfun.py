@@ -7,13 +7,15 @@ Provides the four primitives the crossing-rate formulas are built from:
 * ``marcum_q1``        -- Q1(a, b), first-order Marcum Q-function
 * ``lower_gamma_int``  -- gamma(k+1, x), lower incomplete gamma, integer order
 
-Q1 and the two-port crossing-rate series are one sum, a Poisson(alpha)-weighted
-mixture of one Poisson(beta) tail: Q1 mixes CDFs, the series survivors.  Both
-run on one peak-centred scalar kernel, ``_poisson_mixture``, over one
-Poisson-tail function, ``_poisson_tail``: ``marcum_q1`` calls it (CDF side)
-for alpha > 700, and ``lcr_analytic.lcr_two_port_series`` (survivor side)
-for every argument.  Smaller alpha in Q1 goes through a vectorised from-zero
-series instead.
+Q1, its complement 1 - Q1 and the two-port crossing-rate series are one
+sum, a Poisson(alpha)-weighted mixture of Poisson(beta) tails: Q1 mixes
+CDFs, 1 - Q1 and the series mix survivors.  All of them run on one array
+kernel, ``_poisson_mixture``, which sums every element outward from its
+dominant weight in lock-step blocks.  ``marcum_q1`` sends every b > 0
+through it, with ``complement`` choosing the side; ``lcr_analytic`` calls
+``marcum_q1`` for the N-port factors and the two-port series alike.  The
+Poisson pmfs are seeded in Loader's saddle-point form and the tails summed
+on their small side, so either side stays exact where it is small.
 
 All functions accept scalars or numpy arrays (broadcast where meaningful) and
 are pure, so they are safe to call concurrently.  I0 is only ever exposed in
@@ -64,9 +66,6 @@ DEFAULT_TOLERANCE = Tolerance()
 _J0_SERIES_CUTOFF = 8.0
 # I0 series needs ~90 terms at 40; the scaled asymptotic expansion takes over beyond.
 _I0_SERIES_CUTOFF = 40.0
-# Largest Poisson mean for which the Marcum series can start from k = 0:
-# exp(-700) is still a normal double, and the series then needs < 1000 terms.
-_MARCUM_DIRECT_LIMIT = 700.0
 
 
 def _as_float_array(x, name):
@@ -179,164 +178,165 @@ def _i0_scaled_asymptotic(ax):
 # Marcum Q1
 # ---------------------------------------------------------------------------
 
-def marcum_q1(a, b, tol=DEFAULT_TOLERANCE):
-    """First-order Marcum Q-function Q1(a, b) for a, b >= 0.
+def marcum_q1(a, b, tol=DEFAULT_TOLERANCE, complement=False):
+    """First-order Marcum Q-function Q1(a, b) for a, b >= 0, or 1 - Q1(a, b)
+    if ``complement``.  With alpha = a^2/2 and beta = b^2/2,
 
-    Canonical series: with alpha = a^2/2 and beta = b^2/2,
+        Q1(a, b)     = sum_{k>=0} PoisPmf(k; alpha) * PoisCdf(k; beta),
+        1 - Q1(a, b) = sum_{k>=0} PoisPmf(k; alpha) * PoisSf(k; beta),
 
-        Q1(a, b) = sum_{k>=0} PoisPmf(k; alpha) * PoisCdf(k; beta),
-
-    i.e. a Poisson(alpha)-weighted mixture of Poisson(beta) CDF values.  The
-    sum runs from k = 0 while exp(-alpha) is representable (alpha <= 700) and
-    is restarted from the dominant weight k0 = floor(alpha) in log space
-    beyond that, which keeps the evaluation exact for the near-unity
-    correlations produced by small apertures with many ports.
-
-    Raises AccuracyError (carrying the partial sum) if ``tol.max_terms`` is
-    exhausted before the truncation criterion is met.
+    and every element with b > 0 is summed by ``_poisson_mixture`` outward
+    from its dominant weight k0 = floor(alpha), so any argument is reachable
+    and the complement is summed, never formed as 1 - Q1: each side stays
+    exact where it is small.  ``tol.max_terms`` caps the terms per element,
+    counted per block of consecutive terms; AccuracyError (carrying the
+    partial sums) is raised if it runs out before the truncation criterion
+    is met.
     """
     a_arr, a_scalar = _as_float_array(a, "a")
     b_arr, b_scalar = _as_float_array(b, "b")
     if np.any(a_arr < 0.0) or np.any(b_arr < 0.0):
         raise DomainError("marcum_q1 requires a >= 0 and b >= 0")
     alpha, beta = np.broadcast_arrays(0.5 * a_arr * a_arr, 0.5 * b_arr * b_arr)
-    shape = alpha.shape
-    alpha = np.atleast_1d(alpha).astype(float, copy=True)
-    beta = np.atleast_1d(beta).astype(float, copy=True)
     scalar = a_scalar and b_scalar
-
-    out = np.empty_like(alpha)
-    direct = alpha <= _MARCUM_DIRECT_LIMIT
-    if direct.any():
-        out[direct] = _marcum_direct(alpha[direct], beta[direct], tol)
-    if not direct.all():
-        big = ~direct
-        out[big] = [
-            _poisson_mixture(al, be, tol, upper=False)
-            for al, be in zip(alpha[big], beta[big])
-        ]
-    out[beta == 0.0] = 1.0
-    out = out.reshape(shape)
+    out = np.full(alpha.shape, 0.0 if complement else 1.0)   # its value at b = 0
+    pos = beta > 0.0
+    if pos.any():
+        try:
+            out[pos] = _poisson_mixture(alpha[pos], beta[pos], tol, complement)
+        except AccuracyError as exc:
+            out[pos] = exc.partial
+            raise AccuracyError(str(exc), partial=_restore(out, scalar)) from None
     return _restore(out, scalar)
 
 
-def _marcum_direct(alpha, beta, tol):
-    """Vectorised from-zero summation, valid for alpha <= 700."""
-    p = np.exp(-alpha)          # Poisson(alpha) pmf at k
-    r = np.exp(-beta)           # Poisson(beta) pmf at k
-    cdf = r.copy()              # Poisson(beta) CDF at k
-    total = p * cdf
-    k_safe = float(np.max(alpha))   # terms cannot start decaying before the peak
-    for k in range(1, tol.max_terms):
-        p = p * (alpha / k)
-        r = r * (beta / k)
-        cdf = cdf + r
-        term = p * cdf
-        total = total + term
-        if k >= k_safe and np.all(term <= tol.rel_eps * total):
-            return np.minimum(total, 1.0)
-    raise AccuracyError(
-        f"marcum_q1 series did not converge within {tol.max_terms} terms",
-        partial=np.minimum(total, 1.0),
-    )
-
-
 def _poisson_mixture(alpha, beta, tol, upper):
-    """sum_k PoisPmf(k; alpha) * T(k; beta), summed outward from k0 = floor(alpha).
+    """sum_k PoisPmf(k; alpha) * T(k; beta) over 1-D arrays alpha >= 0, beta > 0,
+    with T(k; beta) = Pr[Poisson(beta) > k] if ``upper``, else Pr[Poisson(beta) <= k].
 
-    T(k; beta) is the Poisson(beta) survivor Pr[Poisson(beta) > k] when
-    ``upper`` is true and the CDF Pr[Poisson(beta) <= k] otherwise.  The CDF
-    mixture is Q1(sqrt(2 alpha), sqrt(2 beta)); the survivor mixture is the
-    two-port crossing-rate series.  The weights are seeded at their peak in
-    log space, so any alpha is reachable, and T moves by one signed
-    Poisson(beta) pmf per step.  Raises AccuracyError (carrying the partial
-    sum) if ``tol.max_terms`` runs out first.
+    Each element starts at its own k0 = floor(alpha), with the weight and the
+    Poisson(beta) pmf seeded by ``_poisson_pmf`` and T(k0; beta) by
+    ``_poisson_tail``, then sums upward, and downward to k = 0, in lock-step
+    blocks of consecutive k laid out (k, element): weights and pmfs are
+    ``_pmf_run`` products, and T moves by one signed pmf per step.  An
+    element leaves a direction once its block ends on a term below
+    ``tol.rel_eps`` times its sum.
     """
-    k0 = int(alpha)
-    w0 = _poisson_pmf(k0, alpha)
-    t0 = _poisson_tail(k0, beta, upper)
-    sign = -1.0 if upper else 1.0
+    n = alpha.size
+    block = _block_length(n)
+    k0 = np.floor(alpha)
+    w0, r0 = np.split(_poisson_pmf(np.concatenate([k0, k0]), np.concatenate([alpha, beta])), 2)
+    t0 = _poisson_tail(k0, beta, r0, upper)
     total = w0 * t0
-    terms = 1
+    budget = tol.max_terms - 1
+    sign = -1.0 if upper else 1.0
+    for step in (1, -1):
+        # T(k+1) = T(k) + sign pmf(k+1); T(k-1) = T(k) - sign pmf(k)
+        idx = np.arange(n) if step > 0 else np.nonzero(k0)[0]
+        k, w, r, t, lam = k0[idx], w0[idx], r0[idx], t0[idx], beta[idx]
+        length = 8
+        while idx.size:
+            length = min(2 * length, block, budget)
+            if length == 0:
+                raise AccuracyError(f"Poisson-mixture series did not converge within "
+                                    f"{tol.max_terms} terms", partial=np.clip(total, 0.0, 1.0))
+            budget -= length
+            ws = _pmf_run(k, alpha[idx], w, step, length)
+            rs = _pmf_run(k, lam, r, step, length)
+            inc = rs if step > 0 else np.concatenate([r[None], rs[:-1]])
+            ts = t + (sign * step) * np.cumsum(inc, axis=0)
+            terms = ws * ts
+            sums = total[idx] + terms.sum(axis=0)
+            total[idx] = sums
+            live = terms[-1] > tol.rel_eps * sums
+            idx, lam = idx[live], lam[live]
+            k = k[live] + step * length
+            w, r, t = ws[-1, live], rs[-1, live], ts[-1, live]
+    return np.clip(total, 0.0, 1.0)
 
-    # upward: w_{k+1} = w_k alpha/(k+1), T_{k+1} = T_k -/+ pmf_{k+1}(beta)
-    w, t = w0, t0
-    r = sign * _poisson_pmf(k0 + 1, beta)
-    k = k0
-    while terms < tol.max_terms:
-        w = w * alpha / (k + 1)
-        t = t + r
-        term = w * t
-        total += term
-        terms += 1
-        k += 1
-        r = r * beta / (k + 1)
-        if term <= tol.rel_eps * total:
-            break
-    else:
-        raise AccuracyError(
-            f"Poisson-mixture series did not converge within {tol.max_terms} terms",
-            partial=min(max(total, 0.0), 1.0),
-        )
 
-    # downward: w_{k-1} = w_k k/alpha, T_{k-1} = T_k +/- pmf_k(beta)
-    w, t = w0, t0
-    r = -sign * _poisson_pmf(k0, beta)
-    k = k0
-    while k > 0 and terms < tol.max_terms:
-        w = w * k / alpha
-        t = t + r
-        k -= 1
-        r = r * (k + 1) / beta if beta > 0.0 else 0.0
-        term = w * t
-        total += term
-        terms += 1
-        if term <= tol.rel_eps * total:
-            break
+def _block_length(n):
+    """Longest block of consecutive k over n elements (blocks double from 16
+    up to it): 256 for a few elements, so a long series is not one numpy step
+    per term, down to 1 for arrays that are already wide."""
+    return max(1, min(256, 8192 // n))
+
+
+def _pmf_run(k, lam, p, step, length):
+    """(length, n) block of Pr[Poisson(lam) = k + step*j] for j = 1..length,
+    from p = Pr[Poisson(lam) = k], one ratio per step; downward (lam > 0) the
+    ratio from k = 0 is 0, so every value below k = 0 comes out 0."""
+    j = np.arange(1, length + 1)[:, None]
+    if step > 0:
+        ratio = lam / (k + j)
     else:
-        if k > 0:
-            raise AccuracyError(
-                f"Poisson-mixture series did not converge within {tol.max_terms} terms",
-                partial=min(max(total, 0.0), 1.0),
-            )
-    return min(max(total, 0.0), 1.0)
+        ratio = (k - j + 1) / lam
+    ratio[0] *= p
+    return np.cumprod(ratio, axis=0, out=ratio)
+
+
+def _poisson_tail(k, lam, p, upper):
+    """Pr[Poisson(lam) > k] if ``upper``, else Pr[Poisson(lam) <= k], over 1-D
+    arrays of integer-valued k >= 0 and lam > 0, given p = Pr[Poisson(lam) = k].
+
+    Sums the pmf on the side of k with less mass, which decays geometrically
+    within ~10*sqrt(lam) terms: the CDF downward from k when k < lam - 1,
+    otherwise the survivor upward from k + 1.  Either sum is at most about
+    1/2, so only its complement is formed as 1 - sum and a small tail never
+    comes out of cancellation (Shnidman, IEEE Trans. Inf. Theory 35(2), 1989).
+    """
+    survivor = k >= lam - 1.0
+    total = np.empty_like(lam)
+    block = _block_length(lam.size)
+    for side, step in ((survivor, 1), (~survivor, -1)):
+        start, mean, last = k[side], lam[side], p[side]
+        acc = np.zeros_like(last) if step > 0 else last.copy()
+        length = 8
+        while np.any(last > 1e-18 * acc):
+            length = min(2 * length, block)
+            run = _pmf_run(start, mean, last, step, length)
+            acc += run.sum(axis=0)
+            start, last = start + step * length, run[-1]
+        total[side] = acc
+    return np.where(survivor == upper, total, 1.0 - total)
+
+
+# stirlerr(k) = ln k! - ln(sqrt(2 pi k) (k/e)^k) for k = 0..15 (Loader's table).
+_STIRLERR = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
 
 
 def _poisson_pmf(k, lam):
-    """Pr[Poisson(lam) = k] via log space; exact enough to seed recurrences."""
-    if lam == 0.0:
-        return 1.0 if k == 0 else 0.0
-    return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+    """Pr[Poisson(lam) = k] elementwise, for integer-valued k >= 0 and lam > 0
+    (lam = 0 only at k = 0).
 
-
-def _poisson_tail(k0, lam, upper):
-    """Pr[Poisson(lam) > k0] if ``upper``, else Pr[Poisson(lam) <= k0]; k0 >= 0.
-
-    Sums the pmf on the side of k0 with less mass: the CDF downward from k0
-    when k0 < lam - 1, otherwise the survivor upward from k0 + 1.  Either sum
-    is at most about 1/2, so only the complement of a sum is ever formed as
-    1 - sum and a small tail never comes out of cancellation (Shnidman, IEEE
-    Trans. Inf. Theory 35(2), 1989).  Both sums decay geometrically within
-    ~10*sqrt(lam) terms.
+    Loader's saddle-point form exp(-stirlerr(k) - bd0(k, lam)) / sqrt(2 pi k)
+    (C. Loader, "Fast and accurate computation of binomial probabilities",
+    2000): both parts are small and computed without cancellation, so the
+    relative error stays a few eps at any k, where exp(k ln lam - lam -
+    ln k!) loses about eps * k ln lam.
     """
-    survivor_side = k0 >= lam - 1.0
-    if survivor_side:
-        r = _poisson_pmf(k0 + 1, lam)
-        total = r
-        j = k0 + 1
-        while r > 1e-18 * total:
-            r = r * lam / (j + 1)
-            j += 1
-            total += r
-    else:
-        r = _poisson_pmf(k0, lam)
-        total = r
-        j = k0
-        while j > 0 and r > 1e-18 * total:
-            r = r * j / lam
-            j -= 1
-            total += r
-    return total if upper == survivor_side else 1.0 - total
+    x = np.maximum(k, 1.0)
+    m = np.maximum(lam, np.finfo(float).tiny)
+    # bd0(x, m) = x ln(x/m) + m - x; near x = m, the series in v = (x-m)/(x+m)
+    # d v + 2 x v sum_{j>=1} v^(2j)/(2j+1), converged by j = 9 for |v| < 0.1
+    d = x - m
+    v = d / (x + m)
+    v2 = v * v
+    odd = 0.0
+    for j in range(9, 0, -1):
+        odd = (odd + 1.0 / (2 * j + 1)) * v2
+    bd0 = np.where(np.abs(v) < 0.1, d * v + 2.0 * x * v * odd, x * np.log(x / m) - d)
+    # stirlerr beyond the table: Loader's asymptotic series in 1/k^2
+    xx = 1.0 / (x * x)
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - xx / 1188) * xx) * xx) * xx) / x
+    stirlerr = np.where(x <= 15.0, _STIRLERR[np.minimum(x, 15.0).astype(int)], series)
+    return np.where(k == 0.0, np.exp(-lam), np.exp(-stirlerr - bd0) / np.sqrt(2.0 * math.pi * x))
 
 
 # ---------------------------------------------------------------------------

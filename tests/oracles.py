@@ -120,6 +120,49 @@ def two_port_lcr_ncx2(sigma2, mu, x_th, fd=1.0):
     return prefactor * stats.ncx2.cdf(2.0 * y, 2, 2.0 * mu * mu * y)
 
 
+def theorem1_per_term(sigma2, mus, x_th, product, fd=1.0):
+    """The exact N-port rate with one quad per port i of g_i(x1) * product(x1, i).
+
+    ``product(x1, i)`` is the product of the below-threshold factors of the
+    ports k >= 2 other than port i (i = 1 leaves none out).  Each port's
+    term is integrated on its own; slow, a reference for lcr_theorem1's
+    single summed leave-one-out pass.
+    """
+    sigma = math.sqrt(sigma2)
+    first = math.exp(-x_th * x_th / sigma2) * product(x_th, 1)
+    second = 0.0
+    for i, mu in enumerate((abs(m) for m in mus[1:]), start=2):
+        s = sigma2 * (1.0 - mu * mu)
+
+        def g(x1, _mu=mu, _s=s, _i=i):
+            v = 2.0 * _mu * x_th * x1 / _s
+            return (2.0 * x1 / sigma2 * special.i0e(v)
+                    * math.exp(v - (x_th * x_th + x1 * x1) / _s) * product(x1, _i))
+
+        # the integrand peaks at x1 = mu x_th, on a ridge of width ~sqrt(s)
+        points = [mu * x_th] if 0.0 < mu * x_th < x_th else None
+        val, _ = integrate.quad(g, 0.0, x_th, epsabs=1e-14, epsrel=1e-11,
+                                points=points, limit=400)
+        second += val / (1.0 - mu * mu)
+    return math.sqrt(2.0 * math.pi) * x_th * fd / sigma * (first + second)
+
+
+def theorem1_ncx2_per_term(sigma2, mus, x_th, fd=1.0):
+    """``theorem1_per_term`` with scipy's noncentral chi-square as every factor:
+    port k's 1 - Q1(a_k x1, b_k) is Pr[chi'^2_2((a_k x1)^2) <= b_k^2].
+    Independent of faslcr's Marcum kernel.
+    """
+    def product(x1, skip):
+        out = 1.0
+        for k, mu in enumerate(mus[1:], start=2):
+            if k != skip:
+                s = sigma2 * (1.0 - mu * mu)
+                out *= stats.ncx2.cdf(2.0 * x_th * x_th / s, 2, 2.0 * mu * mu * x1 * x1 / s)
+        return out
+
+    return theorem1_per_term(sigma2, mus, x_th, product, fd)
+
+
 def n_port_lcr_bruteforce(sigma2, mus, x_th, fd=1.0):
     """N-port crossing rate from first principles for N <= 3.
 

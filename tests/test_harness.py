@@ -84,15 +84,6 @@ class TestRunSweep:
         assert keys == sorted(keys)
         assert len(rows) == 2 * 2 * 2 * 2
 
-    def test_workers_do_not_change_rows(self):
-        spec = SweepSpec(
-            thresholds=(0.5, 1.0, 1.5), n_list=(2, 3), w_list=(0.1, 0.3),
-            methods=("theorem1", "monte_carlo"), sim=small_sim(seed=7),
-        )
-        sequential = run_sweep(spec, BASE, workers=1)
-        parallel = run_sweep(spec, BASE, workers=4)
-        assert sequential == parallel
-
     def test_mc_rows_carry_counts(self):
         spec = SweepSpec(
             thresholds=(0.8,), n_list=(2,), w_list=(0.2,),
@@ -290,7 +281,10 @@ class TestCli:
         row = read_csv(io.StringIO(capsys.readouterr().out))[0]
         assert row.raw_rate == pytest.approx(4.0 * math.sqrt(2.0 * math.pi) * math.exp(-1.0))
 
-    def test_unknown_config_key_rejected(self, tmp_path):
-        cfgfile = tmp_path / "bad.cfg"
-        cfgfile.write_text("bogus_key = 1\n")
-        assert main(["analytic", "--config", str(cfgfile), "--thresholds", "1.0"]) == 2
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        # sweeps run on one thread, so the former worker-pool key is unknown too
+        for key in ("bogus_key", "workers"):
+            cfgfile = tmp_path / "bad.cfg"
+            cfgfile.write_text(f"{key} = 2\n")
+            assert main(["analytic", "--config", str(cfgfile), "--thresholds", "1.0"]) == 2
+            assert f"unknown config key {key!r}" in capsys.readouterr().err

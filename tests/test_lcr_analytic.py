@@ -17,19 +17,22 @@ from faslcr.lcr_analytic import (
     lcr_two_port_series,
     surviving_product,
 )
-from faslcr.specfun import _MARCUM_DIRECT_LIMIT, Tolerance
+from faslcr.specfun import Tolerance
 
 from oracles import (
     marcum_q1_quad,
     n_port_lcr_bruteforce,
     pair_density,
     rayleigh_lcr,
+    theorem1_ncx2_per_term,
+    theorem1_per_term,
     two_port_lcr_ncx2,
     two_port_lcr_quad,
 )
-from scipy import integrate, special
+from scipy import integrate
 
-SQRT2PI = math.sqrt(2.0 * math.pi)
+# The paper's threshold grid.
+PAPER_GRID = tuple(float(x) for x in np.linspace(0.05, 3.0, 20))
 
 
 def uncorrelated(n):
@@ -37,37 +40,11 @@ def uncorrelated(n):
 
 
 def theorem1_per_term_quad(cfg, prof, x_th):
-    """The exact rate with one quad per port i of g_i * surviving_product(skip_index=i).
-
-    Each port's term is integrated on its own, with the full Marcum product
-    rebuilt at every node; slow, used as the reference for lcr_theorem1's
-    single summed leave-one-out pass.
-    """
-    sigma2 = cfg.sigma2
-    mus = [abs(m) for m in prof.mu[1:]]
-    # Marcum Q1 changes route where alpha = mu^2 x1^2 / s crosses the direct
-    # series limit; the factors are not smooth across that switch.
-    switches = [math.sqrt(_MARCUM_DIRECT_LIMIT * sigma2 * (1.0 - m * m)) / m
-                for m in mus if m > 0.0]
-    first = math.exp(-x_th * x_th / sigma2) * surviving_product(
-        cfg, prof, x_th, x_th, skip_index=1
+    """``theorem1_per_term`` with surviving_product as the factor product."""
+    return theorem1_per_term(
+        cfg.sigma2, prof.mu, x_th,
+        lambda x1, i: surviving_product(cfg, prof, x1, x_th, skip_index=i), cfg.f_doppler,
     )
-    second = 0.0
-    for i, mu in enumerate(mus, start=2):
-        s = sigma2 * (1.0 - mu * mu)
-
-        def g(x1, _mu=mu, _s=s, _i=i):
-            v = 2.0 * _mu * x_th * x1 / _s
-            return (2.0 * x1 / sigma2 * special.i0e(v)
-                    * math.exp(v - (x_th * x_th + x1 * x1) / _s)
-                    * surviving_product(cfg, prof, x1, x_th, skip_index=_i))
-
-        # the integrand peaks at x1 = mu x_th, on a ridge of width ~sqrt(s)
-        points = [p for p in [mu * x_th] + switches if 0.0 < p < x_th]
-        val, _ = integrate.quad(g, 0.0, x_th, epsabs=1e-14, epsrel=1e-11,
-                                points=points or None, limit=400)
-        second += val / (1.0 - mu * mu)
-    return SQRT2PI * x_th * cfg.f_doppler / cfg.sigma * (first + second)
 
 
 class TestLcrIid:
@@ -340,13 +317,26 @@ class TestTheorem1:
         assert lcr_theorem1(cfg, prof, x_th) == pytest.approx(want, rel=1e-8)
 
     def test_deep_fade_leave_one_out_is_finite(self):
-        # every below-threshold factor is exactly 0 at this threshold, so a
-        # leave-one-out product formed by division would be 0/0
+        # down to -200 dB: each factor 1 - Q1 ~ x_th^2 is summed rather than
+        # formed as 1 - Q1, which rounds to 0 below x_th ~ 1e-8, and the
+        # leave-one-out products never divide by a factor, which would give
+        # 0/0 wherever factors underflow
         cfg = FasConfig(4, 0.0, sigma2=1.0, f_doppler=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = lcr_theorem1(cfg, uncorrelated(4), 1e-9)
-        assert math.isfinite(got) and got >= 0.0
+            for x in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
+                got = lcr_theorem1(cfg, uncorrelated(4), x)
+                assert got == pytest.approx(lcr_iid(cfg, x), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n, x_th", [
+        (8, PAPER_GRID[11]), (8, PAPER_GRID[12]), (6, PAPER_GRID[16]), (6, PAPER_GRID[17]),
+    ])
+    def test_dense_paper_grid_against_ncx2_factors(self, n, x_th):
+        # W = 0.1 rows whose factors see beta > 745 with alpha <= 700
+        cfg = FasConfig(n, 0.1, sigma2=1.0, f_doppler=1.0)
+        prof = correlation_profile(cfg)
+        want = theorem1_ncx2_per_term(1.0, prof.mu, x_th)
+        assert lcr_theorem1(cfg, prof, x_th) == pytest.approx(want, rel=1e-8)
 
     def test_doppler_linearity(self):
         cfg1 = FasConfig(3, 0.2, sigma2=1.0, f_doppler=1.0)

@@ -8,7 +8,9 @@ from scipy import stats
 
 from faslcr.errors import AccuracyError, ConfigError, DomainError
 from faslcr.specfun import (
+    DEFAULT_TOLERANCE,
     Tolerance,
+    _poisson_pmf,
     _poisson_tail,
     bessel_i0_scaled,
     bessel_j0,
@@ -114,6 +116,7 @@ class TestMarcumQ1:
     def test_b_zero_is_one(self):
         for a in (0.0, 0.5, 3.0, 40.0):
             assert marcum_q1(a, 0.0) == 1.0
+            assert marcum_q1(a, 0.0, DEFAULT_TOLERANCE, True) == 0.0
 
     def test_value_1_1(self):
         assert marcum_q1(1.0, 1.0) == pytest.approx(0.7328798037968204, rel=1e-11)
@@ -124,8 +127,26 @@ class TestMarcumQ1:
 
     @pytest.mark.parametrize("a,b", [(40.0, 38.0), (40.0, 42.0), (60.0, 60.0)])
     def test_large_argument_path(self, a, b):
-        # alpha = a^2/2 > 700 exercises the log-space peak-centred summation
+        # alpha = a^2/2 of 800 to 1800: the sum starts far from 0, at k0 = floor(alpha)
         assert marcum_q1(a, b) == pytest.approx(marcum_q1_quad(a, b), rel=1e-9)
+
+    def test_both_sides_against_ncx2(self):
+        # Q1(a, b) = ncx2.sf(b^2, 2, a^2) and 1 - Q1 = ncx2.cdf, in one call
+        # over mixed arguments, including alpha <= 700 with beta > 745, where
+        # an exp(-beta) pmf seed underflows to 0
+        alpha = [al for al in (1e-6, 0.3, 12.0, 650.0, 700.0, 2e4) for _ in range(4)]
+        beta = [al * r for al in (1e-6, 0.3, 12.0, 650.0, 700.0, 2e4)
+                for r in (0.5, 0.9, 1.1, 2.0)]
+        alpha += [650.0, 690.0, 300.0, 700.0]
+        beta += [760.0, 800.0, 760.0, 746.0]
+        alpha, beta = np.array(alpha), np.array(beta)
+        a, b = np.sqrt(2.0 * alpha), np.sqrt(2.0 * beta)
+        big = Tolerance(rel_eps=1e-12, max_terms=20000)
+        q = marcum_q1(a, b, big)
+        c = marcum_q1(a, b, big, True)
+        assert q == pytest.approx(stats.ncx2.sf(2.0 * beta, 2, 2.0 * alpha), rel=1e-10, abs=0.0)
+        assert c == pytest.approx(stats.ncx2.cdf(2.0 * beta, 2, 2.0 * alpha), rel=1e-10, abs=0.0)
+        assert q[-4] == pytest.approx(1.7596e-3, rel=1e-4)     # alpha = 650, beta = 760
 
     def test_very_large_argument_needs_bigger_cap(self):
         with pytest.raises(AccuracyError) as exc:
@@ -175,17 +196,16 @@ class TestPoissonTail:
         mode = math.floor(lam)
         spread = 10.0 * math.sqrt(lam) + 10.0
         ks = {0, mode - 1, mode, math.floor(lam - spread), math.ceil(lam + spread)}
-        for k in sorted(k for k in ks if k >= 0):
-            # The pmf seed exp(k ln(lam) - lam - lgamma(k+1)) carries the
-            # rounding of its exponent, about eps times the size of its
-            # terms: up to 3e-12 at lam = 700 and 5e-10 at lam = 1e5.
-            seed = (k + 1) * abs(math.log(lam)) + lam + math.lgamma(k + 2)
-            rel = max(1e-13, 2.0 ** -52 * seed)
-            cdf = _poisson_tail(k, lam, upper=False)
-            sf = _poisson_tail(k, lam, upper=True)
-            assert cdf == pytest.approx(stats.poisson.cdf(k, lam), rel=rel, abs=0.0)
-            assert sf == pytest.approx(stats.poisson.sf(k, lam), rel=rel, abs=0.0)
-            assert cdf + sf == pytest.approx(1.0, rel=1e-15, abs=0.0)
+        k = np.array(sorted(k for k in ks if k >= 0), dtype=float)
+        lams = np.full(k.size, lam)
+        # The saddle-point pmf seed carries no eps * k ln(lam) error, so one
+        # flat bound holds from lam = 1e-12 to 1e5.
+        pmf = _poisson_pmf(k, lams)
+        cdf = _poisson_tail(k, lams, pmf, upper=False)
+        sf = _poisson_tail(k, lams, pmf, upper=True)
+        assert cdf == pytest.approx(stats.poisson.cdf(k, lam), rel=1e-12, abs=0.0)
+        assert sf == pytest.approx(stats.poisson.sf(k, lam), rel=1e-12, abs=0.0)
+        assert cdf + sf == pytest.approx(np.ones(k.size), rel=1e-15, abs=0.0)
 
 
 class TestLowerGammaInt:
