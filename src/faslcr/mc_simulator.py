@@ -1,8 +1,9 @@
 """Monte-Carlo synthesis of the selected envelope and empirical crossing rates.
 
-The channel at each port is built from 2(N+1) independent real Gaussian
+The channel at each port is built from 2N independent real Gaussian
 processes with variance 1/2 and a Jakes/Clarke Doppler spectrum (isotropic
-scattering), combined per port as
+scattering): x_0, y_0 for the reference port and x_k, y_k for ports
+k = 2..N, combined per port as
 
     h_1 = sigma (x_0 + j y_0)
     h_k = sigma (sqrt(1-mu_k^2) x_k + mu_k x_0) + j sigma (...y_k, y_0...)
@@ -14,22 +15,30 @@ first quadrant: all discrete Doppler frequencies are distinct, and the
 time-averaged autocorrelation of a single realization reproduces
 J0(2 pi f_D tau) to quadrature accuracy rather than merely in ensemble mean.
 
-The sum is evaluated as one real matrix product per process.  The time axis
-is cut into blocks of B = isqrt(n) samples starting at s_b = b B dt, and
+The sum is evaluated as a blocked real matrix product.  The time axis is cut
+into blocks of B = isqrt(n) samples starting at s_b = b B dt, and
 
     cos(w_m (s_b + k dt) + phi_m) = cos(A_bm) cos(w_m k dt) - sin(A_bm) sin(w_m k dt)
 
 with A_bm = w_m s_b + phi_m, so block b is row b of
 [cos A, -sin A] @ [cos(w k dt); sin(w k dt)], an (n/B x 2M) @ (2M x B)
 product whose rows are laid end to end and cut to n samples.  That takes
-about 2M(n/B + B) cosines and sines plus 2M n multiply-adds in one BLAS
-call, where the direct sum takes M n cosines, and it agrees with the direct
-sum to rounding (about 1e-11 at 640k samples).
+about 2M(n/B + B) cosines and sines plus 2M n multiply-adds, where the
+direct sum takes M n cosines, and it agrees with the direct sum to rounding
+(about 1e-11 at 640k samples).  Each process keeps only its (2M x B) right
+factor; any range of block rows is evaluated from it on demand.
 
-Seeding expands a 64-bit root seed into one independent substream per
-process via counter-keyed seed sequences: stream 2j drives x_j and stream
-2j+1 drives y_j, so enlarging the port count appends streams without
-perturbing existing ones.
+``estimate_lcr`` streams: it walks the block rows in chunks of about
+_CHUNK_SAMPLES samples, and synthesizes, assembles, selects and counts one
+chunk at a time, carrying the last selected sample across each chunk
+boundary.  Its memory is set by the chunk and the right factors, not by the
+duration, and its counts equal those of the whole series.
+
+Seeding expands a 64-bit root seed into one substream per process via
+counter-keyed seed sequences: stream 2j drives x_j and stream 2j+1 drives
+y_j, so enlarging the port count appends streams without perturbing
+existing ones.  Streams 2 and 3 (x_1, y_1) are reserved and never drawn;
+port 1 is the reference itself.
 """
 
 import math
@@ -42,6 +51,9 @@ from .channel_model import (
     IDENTICAL_CHANNEL_CUTOFF, FasConfig, _check_port_count, _validate_threshold, correlation_profile,
 )
 from .errors import ConfigError
+
+# Samples per streamed chunk of estimate_lcr (whole blocks, so about this).
+_CHUNK_SAMPLES = 1 << 16
 
 __all__ = [
     "SimParams",
@@ -116,7 +128,11 @@ class SimParams:
 
 @dataclass(frozen=True)
 class BaseProcesses:
-    """The 2(N+1) Gaussian component processes: x[j] and y[j], j = 0..N."""
+    """The 2N Gaussian component processes the ports read.
+
+    Row 0 of ``x`` and ``y`` is the reference port's (x_0, y_0); row k-1 is
+    port k's own (x_k, y_k), k = 2..N.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -124,7 +140,7 @@ class BaseProcesses:
 
     def __post_init__(self):
         if self.x.shape != self.y.shape or self.x.ndim != 2:
-            raise ConfigError("x and y must be matching 2-D arrays of shape (N+1, n)")
+            raise ConfigError("x and y must be matching 2-D arrays of shape (N, n)")
         if self.dt <= 0.0:
             raise ConfigError(f"dt must be > 0, got {self.dt!r}")
 
@@ -162,54 +178,88 @@ class LcrEstimate:
     duration: float
 
 
+def _block_layout(n_samples):
+    """(B, number of blocks): blocks of B = isqrt(n) samples, the last one ragged."""
+    block = math.isqrt(n_samples)
+    return block, -(-n_samples // block)
+
+
+@dataclass(frozen=True, eq=False)
+class _ClarkeProcess:
+    """The per-process part of one blocked Clarke sum (see the module docstring).
+
+    ``block_dt`` is the time B dt between block starts and ``right`` the
+    (2M x B) factor [cos(w k dt); sin(w k dt)] shared by every block.
+    """
+
+    omegas: np.ndarray
+    phases: np.ndarray
+    block_dt: float
+    right: np.ndarray
+
+    def rows(self, first, stop):
+        """Block rows ``first`` to ``stop`` - 1, laid end to end (B samples each)."""
+        starts = np.outer(np.arange(first, stop) * self.block_dt, self.omegas) + self.phases
+        left = np.hstack([np.cos(starts), -np.sin(starts)])
+        return (left @ self.right).ravel() * math.sqrt(1.0 / self.omegas.size)
+
+
 def _clarke_process(rng, n_samples, dt, f_doppler, n_sinusoids):
     """One Gaussian process with variance 1/2 and Clarke Doppler spectrum.
 
     Arrival angles are a uniform quadrant grid rotated by a single random
     offset (distinct discrete frequencies); phases are i.i.d. uniform.  The
-    sum of sinusoids is one blocked matrix product (see the module
-    docstring): block starts carry the phases, the shared in-block offsets
-    carry the time steps, and the last block is cut short when ``n_samples``
-    is not a multiple of the block length.
+    blocks are B = isqrt(n_samples) samples long, so the last block row runs
+    past ``n_samples`` unless B divides it; callers cut it.
     """
     theta = rng.uniform(0.0, 2.0 * math.pi)
     phases = rng.uniform(0.0, 2.0 * math.pi, n_sinusoids)
     idx = np.arange(1, n_sinusoids + 1)
     angles = (2.0 * math.pi * idx - math.pi + theta) / (4.0 * n_sinusoids)
     omegas = 2.0 * math.pi * f_doppler * np.cos(angles)
-    block = math.isqrt(n_samples)
-    n_blocks = -(-n_samples // block)
-    starts = np.outer(np.arange(n_blocks) * (block * dt), omegas) + phases
+    block, _ = _block_layout(n_samples)
     steps = np.outer(omegas, np.arange(block) * dt)
-    left = np.hstack([np.cos(starts), -np.sin(starts)])
     right = np.vstack([np.cos(steps), np.sin(steps)])
-    return (left @ right).ravel()[:n_samples] * math.sqrt(1.0 / n_sinusoids)
+    return _ClarkeProcess(omegas, phases, block * dt, right)
 
 
-def generate_base_processes(cfg, sim):
-    """Synthesize the 2(N+1) independent component processes for ``cfg``."""
+def _component_processes(cfg, sim):
+    """The (x, y) process pairs of the 2N components, in ``BaseProcesses`` row order."""
     if not isinstance(cfg, FasConfig):
         raise ConfigError(f"expected FasConfig, got {type(cfg).__name__}")
     sim.validate_for(cfg)
-    n_streams = cfg.n_ports + 1
-    n = sim.n_samples
-    dt = sim.dt
-    x = np.empty((n_streams, n))
-    y = np.empty((n_streams, n))
-    for j in range(n_streams):
-        rng_x = np.random.default_rng(np.random.SeedSequence(entropy=sim.seed, spawn_key=(2 * j,)))
-        rng_y = np.random.default_rng(np.random.SeedSequence(entropy=sim.seed, spawn_key=(2 * j + 1,)))
-        x[j] = _clarke_process(rng_x, n, dt, cfg.f_doppler, sim.n_sinusoids)
-        y[j] = _clarke_process(rng_y, n, dt, cfg.f_doppler, sim.n_sinusoids)
-    return BaseProcesses(x=x, y=y, dt=dt)
+
+    def process(stream):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=sim.seed, spawn_key=(stream,)))
+        return _clarke_process(rng, sim.n_samples, sim.dt, cfg.f_doppler, sim.n_sinusoids)
+
+    return [(process(2 * j), process(2 * j + 1)) for j in (0, *range(2, cfg.n_ports + 1))]
+
+
+def _synthesize(processes, sim, first, stop):
+    """Block rows ``first`` to ``stop`` - 1 of every process, cut to ``sim.n_samples``."""
+    block, _ = _block_layout(sim.n_samples)
+    size = min(stop * block, sim.n_samples) - first * block
+    x = np.empty((len(processes), size))
+    y = np.empty((len(processes), size))
+    for row, (px, py) in enumerate(processes):
+        x[row] = px.rows(first, stop)[:size]
+        y[row] = py.rows(first, stop)[:size]
+    return BaseProcesses(x=x, y=y, dt=sim.dt)
+
+
+def generate_base_processes(cfg, sim):
+    """Synthesize the 2N independent component processes for ``cfg``, whole."""
+    _, n_blocks = _block_layout(sim.n_samples)
+    return _synthesize(_component_processes(cfg, sim), sim, 0, n_blocks)
 
 
 def assemble_port_envelopes(cfg, profile, base):
     """Combine the base processes into the N per-port envelope series."""
     _check_port_count(cfg, profile)
-    if base.x.shape[0] != cfg.n_ports + 1:
+    if base.x.shape[0] != cfg.n_ports:
         raise ConfigError(
-            f"base processes carry {base.x.shape[0]} streams, expected {cfg.n_ports + 1}"
+            f"base processes carry {base.x.shape[0]} streams, expected {cfg.n_ports}"
         )
     sigma = cfg.sigma
     env1 = sigma * np.hypot(base.x[0], base.y[0])
@@ -220,8 +270,8 @@ def assemble_port_envelopes(cfg, profile, base):
             out.append(EnvelopeSeries(samples=env1.copy(), dt=base.dt))
             continue
         root = math.sqrt(1.0 - mu * mu)
-        re = root * base.x[k] + mu * base.x[0]
-        im = root * base.y[k] + mu * base.y[0]
+        re = root * base.x[k - 1] + mu * base.x[0]
+        im = root * base.y[k - 1] + mu * base.y[0]
         out.append(EnvelopeSeries(samples=sigma * np.hypot(re, im), dt=base.dt))
     return out
 
@@ -266,20 +316,47 @@ def count_crossings(series, x_th, f_doppler=None):
 
 
 def estimate_lcr(cfg, sim, thresholds):
-    """Full pipeline: generate, assemble, select, count at each threshold.
+    """Full pipeline: synthesize, assemble, select and count at each threshold.
 
     Deterministic for a fixed (cfg, sim, thresholds): the whole run derives
-    from the root seed.  Each stage's input is released as soon as the next
-    stage has consumed it, so the component processes are gone before the
-    selection runs.
+    from the root seed.  The thresholds are validated before any synthesis.
+    The run streams over chunks of whole blocks of about _CHUNK_SAMPLES
+    samples: each chunk is synthesized, assembled into port envelopes,
+    selected and counted, and the last selected sample is carried into the
+    next chunk so that a crossing between two chunks is counted once.  The
+    counts equal those of the whole series, and memory does not grow with
+    ``sim.duration``.
     """
+    thresholds = [_validate_threshold(x) for x in thresholds]
     profile = correlation_profile(cfg)
-    base = generate_base_processes(cfg, sim)
-    ports = assemble_port_envelopes(cfg, profile, base)
-    del base
-    selected = fas_select(ports)
-    del ports
-    return [count_crossings(selected, x, cfg.f_doppler) for x in thresholds]
+    processes = _component_processes(cfg, sim)
+    block, n_blocks = _block_layout(sim.n_samples)
+    chunk_blocks = max(2, _CHUNK_SAMPLES // block)
+    n_chunks = -(-n_blocks // chunk_blocks)
+    # An even split leaves the last chunk, which ends on the ragged block, at
+    # least two blocks long, so no chunk is a lone sample.
+    bounds = [n_blocks * i // n_chunks for i in range(n_chunks + 1)]
+    crossings = [0] * len(thresholds)
+    last = None
+    for first, stop in zip(bounds, bounds[1:]):
+        base = _synthesize(processes, sim, first, stop)
+        ports = assemble_port_envelopes(cfg, profile, base)
+        del base
+        selected = fas_select(ports)
+        del ports
+        head = selected.samples[0]
+        for i, x in enumerate(thresholds):
+            crossings[i] += count_crossings(selected, x).crossings
+            if last is not None and last >= x > head:
+                crossings[i] += 1
+        last = selected.samples[-1]
+    duration = sim.n_samples * sim.dt
+    estimates = []
+    for x, c in zip(thresholds, crossings):
+        rate = c / duration
+        estimates.append(LcrEstimate(threshold=x, rate=rate, nlcr=rate / cfg.f_doppler,
+                                     crossings=c, duration=duration))
+    return estimates
 
 
 def slope_moment_check(series):

@@ -1,11 +1,13 @@
 """Statistical and structural contracts of the channel simulator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import special
 
+from faslcr import mc_simulator
 from faslcr.channel_model import CorrelationProfile, FasConfig, correlation_profile
 from faslcr.errors import ConfigError, DomainError
 from faslcr.lcr_analytic import lcr_identical
@@ -85,6 +87,7 @@ class TestBaseProcesses:
             assert emp == pytest.approx(want, abs=0.03)
 
     def test_mutual_independence(self, base_run):
+        # rows 0, 1, 2 are the components x_0/y_0, x_2/y_2 and x_3/y_3
         cfg, sim, base = base_run
         assert float(np.mean(base.x[0] * base.y[0])) == pytest.approx(0.0, abs=0.02)
         assert float(np.mean(base.x[0] * base.x[1])) == pytest.approx(0.0, abs=0.02)
@@ -95,8 +98,8 @@ class TestBaseProcesses:
         sim = SimParams(sample_rate=64.0, duration=100.0, seed=5)
         small = generate_base_processes(FasConfig(2, 0.1), sim)
         large = generate_base_processes(FasConfig(4, 0.1), sim)
-        assert np.array_equal(small.x, large.x[:3])
-        assert np.array_equal(small.y, large.y[:3])
+        assert np.array_equal(small.x, large.x[:2])
+        assert np.array_equal(small.y, large.y[:2])
 
     def test_determinism(self):
         cfg = FasConfig(2, 0.2)
@@ -120,7 +123,7 @@ class TestBaseProcesses:
     @pytest.mark.parametrize("n_sinusoids", [8, 64])
     def test_two_samples_match_direct_sum(self, n_sinusoids):
         # below the simulator's 1600-sample floor: one-sample blocks
-        got = _clarke_process(_stream_rng(3, 0), 2, 1.0 / 64.0, 1.0, n_sinusoids)
+        got = _clarke_process(_stream_rng(3, 0), 2, 1.0 / 64.0, 1.0, n_sinusoids).rows(0, 2)
         want = clarke_process_direct(_stream_rng(3, 0), 2, 1.0 / 64.0, 1.0, n_sinusoids)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
@@ -151,6 +154,7 @@ class TestAssemble:
         cfg, sim, base = base_run
         prof = correlation_profile(cfg)        # mu_2 = 0.78996 at (N=3, W=0.3)
         mu2 = prof.mu[1]
+        # row 1 holds port 2's own components x_2, y_2
         h1 = base.x[0] + 1j * base.y[0]
         root = math.sqrt(1.0 - mu2 * mu2)
         h2 = root * base.x[1] + mu2 * base.x[0] + 1j * (root * base.y[1] + mu2 * base.y[0])
@@ -273,6 +277,52 @@ class TestEstimateLcr:
     def test_seeded_realization_locked(self, cfg, sim, thresholds, crossings):
         # a change to the synthesis must not silently re-draw the channel
         assert [e.crossings for e in estimate_lcr(cfg, sim, thresholds)] == crossings
+
+    @pytest.mark.parametrize("duration", [
+        200.0,      # 12800 samples, below one chunk
+        4096.0,     # 262144 samples, exactly four chunks of 2^16
+        4100.7,     # 262445 samples, ragged last block
+        1024.02,    # 65537 samples, one block past a whole chunk
+    ])
+    def test_streamed_counts_match_whole_series(self, duration):
+        cfg = FasConfig(3, 0.3)
+        sim = SimParams(sample_rate=64.0, duration=duration, seed=61)
+        n = sim.n_samples
+        block = math.isqrt(n)
+        whole = fas_select(assemble_port_envelopes(cfg, correlation_profile(cfg),
+                                                   generate_base_processes(cfg, sim)))
+        s = whole.samples
+        # every chunk boundary is a block boundary: put a threshold between
+        # the two samples of each downward step across one
+        edges = np.arange(block, n, block)
+        down = edges[s[edges - 1] > s[edges]]
+        thresholds = [0.3, 1.0, 1.5] + [float(v) for v in 0.5 * (s[down - 1] + s[down])]
+        want = [count_crossings(whole, x, cfg.f_doppler) for x in thresholds]
+        assert estimate_lcr(cfg, sim, thresholds) == want
+        assert (n < mc_simulator._CHUNK_SAMPLES) == (duration == 200.0)
+        assert (n % mc_simulator._CHUNK_SAMPLES == 0) == (duration == 4096.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, "1.0", None])
+    def test_thresholds_validated_before_synthesis(self, bad, monkeypatch):
+        def no_synthesis(*args):
+            raise AssertionError("synthesis ran before the thresholds were checked")
+
+        monkeypatch.setattr(mc_simulator, "_clarke_process", no_synthesis)
+        cfg = FasConfig(2, 0.3)
+        with pytest.raises(DomainError):
+            estimate_lcr(cfg, SimParams.from_cycles(cfg, 1e3), [0.5, bad])
+
+    def test_memory_bounded_by_the_chunk(self):
+        # the whole-series pipeline peaked at 83.7 MiB here (4.9 MiB a row)
+        cfg = FasConfig(4, 0.3)
+        sim = SimParams.from_cycles(cfg, duration_cycles=1e4, seed=1)
+        tracemalloc.start()
+        try:
+            estimate_lcr(cfg, sim, [0.5, 1.0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2 ** 20
 
     def test_fully_correlated_profile_matches_identical(self):
         # W = 0 collapses every port onto the reference port
