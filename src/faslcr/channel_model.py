@@ -133,6 +133,19 @@ def _check_port_count(cfg, profile):
         raise ConfigError("profile does not match the configuration's port count")
 
 
+def _check_profile(cfg, profile):
+    """``_check_port_count``, then SingularityError if any port sits at the
+    identical-channel cutoff."""
+    _check_port_count(cfg, profile)
+    singular = profile.singular_ports()
+    if singular:
+        raise SingularityError(
+            f"correlation at port(s) {singular} is at the identical-channel "
+            "singularity; mixed singular profiles are outside the model, and "
+            "all-identical profiles are covered by lcr_identical"
+        )
+
+
 def correlation_profile(cfg):
     """Correlation of each port with the reference port.
 
@@ -170,18 +183,12 @@ def joint_pdf(cfg, profile, point):
     The density is a product of N bivariate factors, each tying port k to the
     reference port; it is not a general N-variate Rayleigh law.
     """
-    _check_port_count(cfg, profile)
+    _check_profile(cfg, profile)
     x = np.asarray(point, dtype=float)
     if x.ndim != 1 or x.size != cfg.n_ports:
         raise DomainError(f"point must be a length-{cfg.n_ports} vector, got shape {x.shape}")
     if not np.all(np.isfinite(x)) or np.any(x < 0.0):
         raise DomainError("envelope amplitudes must be finite and >= 0")
-    singular = profile.singular_ports()
-    if singular:
-        raise SingularityError(
-            f"correlation at port(s) {singular} is at the identical-channel "
-            "singularity; use the identical-channel crossing rate instead"
-        )
     sigma2 = cfg.sigma2
     density = _pair_density_factor(sigma2, 0.0, x[0], x[0])
     for k in range(1, cfg.n_ports):

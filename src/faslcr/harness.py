@@ -234,6 +234,19 @@ def _fmt(value):
     return str(value)
 
 
+def _with_file(target, mode, use):
+    """``use(fh)`` on ``target`` if it is a file object, else on the file at
+    that path opened in ``mode`` ("w" or "r"); an OSError names the path."""
+    if hasattr(target, "write" if mode == "w" else "read"):
+        return use(target)
+    try:
+        with open(target, mode, newline="") as fh:
+            return use(fh)
+    except OSError as exc:
+        action = "write CSV to" if mode == "w" else "read CSV from"
+        raise OSError(f"cannot {action} {target!r}: {exc}") from exc
+
+
 def emit_csv(rows, destination):
     """Write rows as CSV with LF line endings.
 
@@ -248,14 +261,7 @@ def emit_csv(rows, destination):
                 r.nlcr, r.raw_rate, r.mc_crossings, r.mc_duration,
             )) + "\n")
 
-    if hasattr(destination, "write"):
-        write(destination)
-        return
-    try:
-        with open(destination, "w", newline="") as fh:
-            write(fh)
-    except OSError as exc:
-        raise OSError(f"cannot write CSV to {destination!r}: {exc}") from exc
+    _with_file(destination, "w", write)
 
 
 def read_csv(source):
@@ -281,13 +287,7 @@ def read_csv(source):
             ))
         return rows
 
-    if hasattr(source, "read"):
-        return parse(source)
-    try:
-        with open(source, "r", newline="") as fh:
-            return parse(fh)
-    except OSError as exc:
-        raise OSError(f"cannot read CSV from {source!r}: {exc}") from exc
+    return _with_file(source, "r", parse)
 
 
 # ---------------------------------------------------------------------------
@@ -431,33 +431,28 @@ def _run_command(args):
     w_list = _parse_grid(_get(values, "w", "0.1"))
     out = _get(values, "out", "-")
 
-    def sim_params():
-        return SimParams.from_cycles(
+    if args.command == "sweep":
+        methods = tuple(_get(values, "methods", "theorem1").split(","))
+    elif args.command == "simulate":
+        methods = ("monte_carlo",)
+    else:
+        methods = (_get(values, "method", "theorem1"),)
+        if args.command == "compare":
+            methods += ("monte_carlo",)
+    sim = None
+    # analytic never simulates: SweepSpec refuses its monte_carlo for want of sim
+    if args.command != "analytic" and "monte_carlo" in methods:
+        sim = SimParams.from_cycles(
             base_cfg,
             duration_cycles=_get(values, "duration_cycles", 1e4, float),
             rate_multiplier=_get(values, "sample_rate_mult", 64.0, float),
             seed=_get(values, "seed", 0, int),
         )
-
-    if args.command == "analytic":
-        methods = (_get(values, "method", "theorem1"),)
-        spec = SweepSpec(thresholds=thresholds, n_list=n_list, w_list=w_list,
-                         methods=methods)
-    elif args.command == "simulate":
-        spec = SweepSpec(thresholds=thresholds, n_list=n_list, w_list=w_list,
-                         methods=("monte_carlo",), sim=sim_params())
-    elif args.command == "sweep":
-        methods = tuple(_get(values, "methods", "theorem1").split(","))
-        sim = sim_params() if "monte_carlo" in methods else None
-        spec = SweepSpec(thresholds=thresholds, n_list=n_list, w_list=w_list,
-                         methods=methods, sim=sim)
-    else:  # compare
-        method = _get(values, "method", "theorem1")
-        spec = SweepSpec(thresholds=thresholds, n_list=n_list, w_list=w_list,
-                         methods=(method, "monte_carlo"), sim=sim_params())
-
+    spec = SweepSpec(thresholds=thresholds, n_list=n_list, w_list=w_list,
+                     methods=methods, sim=sim)
     rows = run_sweep(spec, base_cfg)
 
+    summary = None
     if args.command == "compare":
         tolerance = _get(values, "tolerance", 0.05, float)
         min_nlcr = _get(values, "min_nlcr", 0.05, float)
@@ -468,19 +463,17 @@ def _run_command(args):
               f"reference nlcr > {min_nlcr:g})")
         print(f"median relative error: {summary.median_rel_error:.4%}")
         print(f"max relative error:    {summary.max_rel_error:.4%}")
-        if out != "-":
-            emit_csv(rows, out)
-            print(f"rows written to {out}")
-        if summary.exceeds(tolerance):
-            print(f"FAIL: median error exceeds tolerance {tolerance:.4%}")
-            return 1
-        print(f"PASS: median error within tolerance {tolerance:.4%}")
+    # compare prints its summary on stdout, so it writes rows only to a file
+    if summary is None or out != "-":
+        emit_csv(rows, sys.stdout if out == "-" else out)
+    if summary is None:
         return 0
-
-    if out == "-":
-        emit_csv(rows, sys.stdout)
-    else:
-        emit_csv(rows, out)
+    if out != "-":
+        print(f"rows written to {out}")
+    if summary.exceeds(tolerance):
+        print(f"FAIL: median error exceeds tolerance {tolerance:.4%}")
+        return 1
+    print(f"PASS: median error within tolerance {tolerance:.4%}")
     return 0
 
 

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import _check_port_count, _validate_mu, _validate_threshold
-from .errors import AccuracyError, ConfigError, DomainError, SingularityError
+from .channel_model import _check_profile, _validate_mu, _validate_threshold
+from .errors import AccuracyError, ConfigError, DomainError
 from .specfun import Tolerance, bessel_i0_scaled, marcum_q1
 
 __all__ = [
@@ -92,17 +92,6 @@ _GL_LO_NODES, _GL_LO_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _GL_HI_NODES, _GL_HI_WEIGHTS = np.polynomial.legendre.leggauss(21)
 
 
-def _check_profile(cfg, profile):
-    _check_port_count(cfg, profile)
-    singular = profile.singular_ports()
-    if singular:
-        raise SingularityError(
-            f"correlation at port(s) {singular} is at the identical-channel "
-            "singularity; mixed singular profiles are outside the model, and "
-            "all-identical profiles are covered by lcr_identical"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Adaptive panel quadrature
 # ---------------------------------------------------------------------------
@@ -118,13 +107,11 @@ def _integrate_adaptive(f, lo, hi, quad):
     if hi <= lo:
         return 0.0
     width = hi - lo
-    panels = [(lo, hi)]
+    a, b = np.array([lo]), np.array([hi])
     accepted = 0.0
     splits = 0
     scale = None
-    while panels:
-        a = np.array([p[0] for p in panels])
-        b = np.array([p[1] for p in panels])
+    while a.size:
         half = 0.5 * (b - a)
         mid = 0.5 * (a + b)
         # nodes: shape (n_panels, n_lo + n_hi), flattened for one call
@@ -141,19 +128,16 @@ def _integrate_adaptive(f, lo, hi, quad):
         budget = np.maximum(quad.abs_eps, quad.rel_eps * scale) * (b - a) / width
         ok = err <= budget
         accepted += float(np.sum(i_hi[ok]))
-        next_panels = []
-        for j in np.nonzero(~ok)[0]:
-            splits += 1
-            if splits > quad.max_subdivisions:
-                partial = accepted + float(np.sum(i_hi[~ok]))
-                raise AccuracyError(
-                    f"adaptive quadrature exceeded {quad.max_subdivisions} subdivisions",
-                    partial=partial,
-                )
-            m = float(mid[j])
-            next_panels.append((float(a[j]), m))
-            next_panels.append((m, float(b[j])))
-        panels = next_panels
+        splits += int(np.count_nonzero(~ok))
+        if splits > quad.max_subdivisions:
+            partial = accepted + float(np.sum(i_hi[~ok]))
+            raise AccuracyError(
+                f"adaptive quadrature exceeded {quad.max_subdivisions} subdivisions",
+                partial=partial,
+            )
+        # each failing panel becomes its two halves, in the same order
+        a, mid, b = a[~ok], mid[~ok], b[~ok]
+        a, b = np.column_stack([a, mid]).ravel(), np.column_stack([mid, b]).ravel()
     return accepted
 
 

@@ -178,6 +178,14 @@ class LcrEstimate:
     duration: float
 
 
+def _estimate(threshold, crossings, duration, f_doppler):
+    """The LcrEstimate of ``crossings`` in ``duration``; nlcr is None without f_doppler."""
+    rate = crossings / duration
+    nlcr = rate / f_doppler if f_doppler is not None else None
+    return LcrEstimate(threshold=threshold, rate=rate, nlcr=nlcr,
+                       crossings=crossings, duration=duration)
+
+
 def _block_layout(n_samples):
     """(B, number of blocks): blocks of B = isqrt(n) samples, the last one ragged."""
     block = math.isqrt(n_samples)
@@ -306,13 +314,7 @@ def count_crossings(series, x_th, f_doppler=None):
     x_th = _validate_threshold(x_th)
     above = series.samples >= x_th
     crossings = int(np.count_nonzero(above[:-1] & ~above[1:]))
-    duration = series.duration
-    rate = crossings / duration
-    nlcr = rate / f_doppler if f_doppler is not None else None
-    return LcrEstimate(
-        threshold=x_th, rate=rate, nlcr=nlcr,
-        crossings=crossings, duration=duration,
-    )
+    return _estimate(x_th, crossings, series.duration, f_doppler)
 
 
 def estimate_lcr(cfg, sim, thresholds):
@@ -351,12 +353,7 @@ def estimate_lcr(cfg, sim, thresholds):
                 crossings[i] += 1
         last = selected.samples[-1]
     duration = sim.n_samples * sim.dt
-    estimates = []
-    for x, c in zip(thresholds, crossings):
-        rate = c / duration
-        estimates.append(LcrEstimate(threshold=x, rate=rate, nlcr=rate / cfg.f_doppler,
-                                     crossings=c, duration=duration))
-    return estimates
+    return [_estimate(x, c, duration, cfg.f_doppler) for x, c in zip(thresholds, crossings)]
 
 
 def slope_moment_check(series):
@@ -386,9 +383,4 @@ def merge_estimates(estimates, f_doppler=None):
         raise ConfigError("cannot merge estimates of different thresholds")
     crossings = sum(e.crossings for e in estimates)
     duration = math.fsum(e.duration for e in estimates)
-    rate = crossings / duration
-    nlcr = rate / f_doppler if f_doppler is not None else None
-    return LcrEstimate(
-        threshold=threshold, rate=rate, nlcr=nlcr,
-        crossings=crossings, duration=duration,
-    )
+    return _estimate(threshold, crossings, duration, f_doppler)

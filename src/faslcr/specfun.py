@@ -80,6 +80,20 @@ def _restore(value, scalar):
     return float(value[()]) if scalar else value
 
 
+def _even_function(x, cutoff, series, asymptotic):
+    """An even function of real x: ``series(|x|)`` for |x| <= cutoff and
+    ``asymptotic(|x|)`` beyond, each over a 1-D array, in the shape of x."""
+    arr, scalar = _as_float_array(x, "x")
+    ax = np.abs(np.atleast_1d(arr))
+    out = np.empty_like(ax)
+    small = ax <= cutoff
+    if small.any():
+        out[small] = series(ax[small])
+    if not small.all():
+        out[~small] = asymptotic(ax[~small])
+    return _restore(out.reshape(arr.shape), scalar)
+
+
 # ---------------------------------------------------------------------------
 # Bessel J0
 # ---------------------------------------------------------------------------
@@ -92,16 +106,7 @@ def bessel_j0(x):
     asymptotic expansion beyond, accurate to ~1e-9, so out-of-range apertures
     degrade gracefully instead of diverging.
     """
-    arr, scalar = _as_float_array(x, "x")
-    ax = np.abs(np.atleast_1d(arr))
-    out = np.empty_like(ax)
-    small = ax <= _J0_SERIES_CUTOFF
-    if small.any():
-        out[small] = _j0_series(ax[small])
-    if not small.all():
-        out[~small] = _j0_asymptotic(ax[~small])
-    out = out.reshape(arr.shape)
-    return _restore(out, scalar)
+    return _even_function(x, _J0_SERIES_CUTOFF, _j0_series, _j0_asymptotic)
 
 
 def _j0_series(ax):
@@ -136,20 +141,11 @@ def bessel_i0_scaled(x):
     the asymptotic series for exp(-x) I0(x) = (1/sqrt(2 pi x)) sum_k a_k x^-k
     takes over beyond and never touches exp(x), so no argument overflows.
     """
-    arr, scalar = _as_float_array(x, "x")
-    ax = np.abs(np.atleast_1d(arr))
-    out = np.empty_like(ax)
-    small = ax <= _I0_SERIES_CUTOFF
-    if small.any():
-        out[small] = np.exp(-ax[small]) * _i0_series(ax[small])
-    if not small.all():
-        out[~small] = _i0_scaled_asymptotic(ax[~small])
-    out = out.reshape(arr.shape)
-    return _restore(out, scalar)
+    return _even_function(x, _I0_SERIES_CUTOFF, _i0_scaled_series, _i0_scaled_asymptotic)
 
 
-def _i0_series(ax):
-    # I0(x) = sum_m (x^2/4)^m / (m!)^2, all terms positive.
+def _i0_scaled_series(ax):
+    # I0(x) = sum_m (x^2/4)^m / (m!)^2, all terms positive, scaled by exp(-x).
     z = 0.25 * ax * ax
     term = np.ones_like(ax)
     total = np.ones_like(ax)
@@ -158,7 +154,7 @@ def _i0_series(ax):
         total = total + term
         if np.all(term <= 1e-17 * total):
             break
-    return total
+    return np.exp(-ax) * total
 
 
 def _i0_scaled_asymptotic(ax):
@@ -189,9 +185,9 @@ def marcum_q1(a, b, tol=DEFAULT_TOLERANCE, complement=False):
     from its dominant weight k0 = floor(alpha), so any argument is reachable
     and the complement is summed, never formed as 1 - Q1: each side stays
     exact where it is small.  ``tol.max_terms`` caps the terms per element,
-    counted per block of consecutive terms; AccuracyError (carrying the
-    partial sums) is raised if it runs out before the truncation criterion
-    is met.
+    counted per block of consecutive terms, in the mixture and in the Poisson
+    tail that seeds it; AccuracyError (carrying the partial sums) is raised
+    if it runs out before the truncation criterion is met.
     """
     a_arr, a_scalar = _as_float_array(a, "a")
     b_arr, b_scalar = _as_float_array(b, "b")
@@ -226,7 +222,10 @@ def _poisson_mixture(alpha, beta, tol, upper):
     block = _block_length(n)
     k0 = np.floor(alpha)
     w0, r0 = np.split(_poisson_pmf(np.concatenate([k0, k0]), np.concatenate([alpha, beta])), 2)
-    t0 = _poisson_tail(k0, beta, r0, upper)
+    try:
+        t0 = _poisson_tail(k0, beta, r0, upper, tol.max_terms)
+    except AccuracyError as exc:
+        raise AccuracyError(str(exc), partial=w0 * exc.partial) from None
     total = w0 * t0
     budget = tol.max_terms - 1
     sign = -1.0 if upper else 1.0
@@ -275,7 +274,7 @@ def _pmf_run(k, lam, p, step, length):
     return np.cumprod(ratio, axis=0, out=ratio)
 
 
-def _poisson_tail(k, lam, p, upper):
+def _poisson_tail(k, lam, p, upper, max_terms=math.inf):
     """Pr[Poisson(lam) > k] if ``upper``, else Pr[Poisson(lam) <= k], over 1-D
     arrays of integer-valued k >= 0 and lam > 0, given p = Pr[Poisson(lam) = k].
 
@@ -284,16 +283,26 @@ def _poisson_tail(k, lam, p, upper):
     otherwise the survivor upward from k + 1.  Either sum is at most about
     1/2, so only its complement is formed as 1 - sum and a small tail never
     comes out of cancellation (Shnidman, IEEE Trans. Inf. Theory 35(2), 1989).
+    At most ``max_terms`` terms are summed per element; AccuracyError carries
+    the partial tails, in [0, 1], if that is not enough.
     """
     survivor = k >= lam - 1.0
-    total = np.empty_like(lam)
+    total = np.zeros_like(lam)
     block = _block_length(lam.size)
     for side, step in ((survivor, 1), (~survivor, -1)):
         start, mean, last = k[side], lam[side], p[side]
+        # the CDF starts from the term p itself
         acc = np.zeros_like(last) if step > 0 else last.copy()
+        budget = max_terms if step > 0 else max_terms - 1
         length = 8
         while np.any(last > 1e-18 * acc):
-            length = min(2 * length, block)
+            length = min(2 * length, block, budget)
+            if length == 0:
+                total[side] = acc
+                partial = np.where(survivor == upper, total, 1.0 - total)
+                raise AccuracyError(f"Poisson tail did not converge within {max_terms} terms",
+                                    partial=np.clip(partial, 0.0, 1.0))
+            budget -= length
             run = _pmf_run(start, mean, last, step, length)
             acc += run.sum(axis=0)
             start, last = start + step * length, run[-1]

@@ -218,6 +218,8 @@ class TestCsv:
     def test_io_error_carries_path(self):
         with pytest.raises(OSError, match="no/such/dir"):
             emit_csv([], "/no/such/dir/out.csv")
+        with pytest.raises(OSError, match=r"cannot read CSV from '/no/such/dir/in\.csv'"):
+            read_csv("/no/such/dir/in.csv")
 
 
 class TestCli:
@@ -257,6 +259,12 @@ class TestCli:
         assert main(["sweep", "--n", "2", "--w", "0.1", "--methods", "bogus",
                      "--thresholds", "1.0"]) == 2
         assert main(["analytic", "--n", "2", "--w", "0.1", "--method", "iid"]) == 2  # no thresholds
+
+    def test_analytic_refuses_monte_carlo(self, capsys):
+        # analytic takes no sim parameters, so it must not run a simulation
+        assert main(["analytic", "--n", "2", "--w", "0.3", "--thresholds", "1.0",
+                     "--method", "monte_carlo"]) == 2
+        assert "monte_carlo requires sim parameters" in capsys.readouterr().err
 
     def test_numerical_error_exit_code(self):
         # W = 0 makes mu_2 = 1: theorem1 refuses with a singularity error

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from faslcr import specfun
 from faslcr.errors import AccuracyError, ConfigError, DomainError
 from faslcr.specfun import (
     DEFAULT_TOLERANCE,
@@ -188,6 +189,17 @@ class TestMarcumQ1:
         with pytest.raises(AccuracyError) as exc:
             marcum_q1(12.0, 12.0, Tolerance(rel_eps=1e-12, max_terms=5))
         assert 0.0 <= float(np.min(exc.value.partial))
+
+    def test_cap_bounds_the_tail_sum(self, monkeypatch):
+        # alpha = beta = 5e11: the Poisson tail at k0 alone spans ~7e6 terms,
+        # so the cap has to stop it, not only the mixture around it
+        calls = []
+        pmf_run = specfun._pmf_run
+        monkeypatch.setattr(specfun, "_pmf_run", lambda *args: calls.append(args) or pmf_run(*args))
+        with pytest.raises(AccuracyError) as exc:
+            marcum_q1(1e6, 1e6, Tolerance(max_terms=5))
+        assert len(calls) <= 4
+        assert 0.0 <= exc.value.partial <= 1.0
 
 
 class TestPoissonTail:
