@@ -17,7 +17,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Optional, get_args
 
 import numpy as np
 
@@ -42,8 +42,6 @@ __all__ = [
 
 METHODS = ("theorem1", "iid", "identical", "two_port_series", "monte_carlo")
 
-CSV_HEADER = "n,w,threshold_linear,threshold_db,method,nlcr,raw_rate,mc_crossings,mc_duration"
-
 
 def db_to_linear(db, sigma):
     """Threshold amplitude from a level in dB relative to the RMS envelope."""
@@ -65,17 +63,15 @@ class SweepSpec:
     sim: Optional[SimParams] = None
 
     def __post_init__(self):
-        if not self.thresholds:
-            raise ConfigError("thresholds grid must be nonempty")
-        if not self.n_list:
-            raise ConfigError("n_list must be nonempty")
-        if not self.w_list:
-            raise ConfigError("w_list must be nonempty")
-        if not self.methods:
-            raise ConfigError("methods must be nonempty")
+        for name, value in (("thresholds grid", self.thresholds), ("n_list", self.n_list),
+                            ("w_list", self.w_list), ("methods", self.methods)):
+            if not value:
+                raise ConfigError(f"{name} must be nonempty")
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; valid: {', '.join(METHODS)}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ConfigError(f"methods must not repeat, got {', '.join(self.methods)}")
         if "two_port_series" in self.methods and any(n != 2 for n in self.n_list):
             raise ConfigError("two_port_series requires every entry of n_list to be 2")
         if "monte_carlo" in self.methods and self.sim is None:
@@ -106,38 +102,33 @@ class ResultRow:
     mc_duration: Optional[float] = None
 
 
+# The fields of ResultRow, in order, are the CSV columns.
+CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
+
+
 def _evaluate_group(n, w, method, thresholds, base_cfg, sim):
     """All rows of one (n, w, method) group, in threshold order."""
     cfg = FasConfig(n_ports=n, aperture=w, sigma2=base_cfg.sigma2,
                     f_doppler=base_cfg.f_doppler)
-    sigma = cfg.sigma
-    fd = cfg.f_doppler
-    rows = []
     if method == "monte_carlo":
-        for est in estimate_lcr(cfg, sim, thresholds):
-            rows.append(ResultRow(
-                n=n, w=w, threshold_linear=est.threshold,
-                threshold_db=linear_to_db(est.threshold, sigma),
-                method=method, nlcr=est.nlcr, raw_rate=est.rate,
-                mc_crossings=est.crossings, mc_duration=est.duration,
-            ))
-        return rows
-    profile = correlation_profile(cfg) if method == "theorem1" else None
-    mu2 = correlation_profile(cfg).mu[1] if method == "two_port_series" else None
-    for x in thresholds:
-        if method == "theorem1":
-            rate = lcr_theorem1(cfg, profile, x)
-        elif method == "iid":
-            rate = lcr_iid(cfg, x)
-        elif method == "identical":
-            rate = lcr_identical(cfg, x)
-        else:
-            rate = lcr_two_port_series(cfg, mu2, x)
-        rows.append(ResultRow(
-            n=n, w=w, threshold_linear=x, threshold_db=linear_to_db(x, sigma),
-            method=method, nlcr=rate / fd, raw_rate=rate,
-        ))
-    return rows
+        points = [(est.threshold, est.rate, est.crossings, est.duration)
+                  for est in estimate_lcr(cfg, sim, thresholds)]
+    else:
+        # looked up at call time, so a patched module attribute is the one called
+        profile = correlation_profile(cfg) if method in ("theorem1", "two_port_series") else None
+        rate_at = {
+            "theorem1": lambda x: lcr_theorem1(cfg, profile, x),
+            "iid": lambda x: lcr_iid(cfg, x),
+            "identical": lambda x: lcr_identical(cfg, x),
+            "two_port_series": lambda x: lcr_two_port_series(cfg, profile.mu[1], x),
+        }[method]
+        points = [(x, rate_at(x), None, None) for x in thresholds]
+    return [
+        ResultRow(n=n, w=w, threshold_linear=x, threshold_db=linear_to_db(x, cfg.sigma),
+                  method=method, nlcr=rate / cfg.f_doppler, raw_rate=rate,
+                  mc_crossings=crossings, mc_duration=duration)
+        for x, rate, crossings, duration in points
+    ]
 
 
 def run_sweep(spec, base_cfg):
@@ -147,13 +138,8 @@ def run_sweep(spec, base_cfg):
     one (n, w, method) group are computed together so MC reuses one channel
     realization across thresholds.
     """
-    rows = [
-        row
-        for n in spec.n_list
-        for w in spec.w_list
-        for method in spec.methods
-        for row in _evaluate_group(n, w, method, spec.thresholds, base_cfg, spec.sim)
-    ]
+    rows = [row for n in spec.n_list for w in spec.w_list for method in spec.methods
+            for row in _evaluate_group(n, w, method, spec.thresholds, base_cfg, spec.sim)]
     rows.sort(key=lambda r: (r.n, r.w, r.threshold_linear, METHODS.index(r.method)))
     return rows
 
@@ -178,9 +164,11 @@ def compare_methods(rows, reference_method=None, test_method="monte_carlo",
 
     Pairs rows on (n, w, threshold); points whose reference NLCR does not
     exceed ``min_nlcr`` are ignored (relative error is meaningless in the
-    deep tails).  Raises ConfigError when either method is missing or the
-    two methods share no grid points.
+    deep tails).  Raises ConfigError when the two methods are the same, when
+    either is missing, or when they share no grid points.
     """
+    if reference_method == test_method:
+        raise ConfigError(f"cannot compare {test_method!r} with itself")
     methods_present = {r.method for r in rows}
     if reference_method is None:
         candidates = [m for m in METHODS if m != test_method and m in methods_present]
@@ -191,33 +179,22 @@ def compare_methods(rows, reference_method=None, test_method="monte_carlo",
         raise ConfigError(f"rows contain no {reference_method!r} entries")
     if test_method not in methods_present:
         raise ConfigError(f"rows contain no {test_method!r} entries")
-    ref = {
-        (r.n, r.w, r.threshold_linear): r
-        for r in rows if r.method == reference_method
-    }
-    points = []
-    shared = 0
-    for r in rows:
-        if r.method != test_method:
-            continue
-        other = ref.get((r.n, r.w, r.threshold_linear))
-        if other is None:
-            continue
-        shared += 1
-        if other.nlcr <= min_nlcr:
-            continue
-        rel = abs(r.nlcr - other.nlcr) / other.nlcr
-        points.append((r.n, r.w, r.threshold_linear, other.nlcr, r.nlcr, rel))
-    if shared == 0:
+    ref = {(r.n, r.w, r.threshold_linear): r.nlcr for r in rows if r.method == reference_method}
+    pairs = [(r, ref[key]) for r in rows
+             if r.method == test_method and (key := (r.n, r.w, r.threshold_linear)) in ref]
+    if not pairs:
         raise ConfigError(
             f"{reference_method!r} and {test_method!r} rows share no grid points"
         )
+    points = tuple((r.n, r.w, r.threshold_linear, ref_nlcr, r.nlcr,
+                    abs(r.nlcr - ref_nlcr) / ref_nlcr)
+                   for r, ref_nlcr in pairs if ref_nlcr > min_nlcr)
     errs = [p[5] for p in points]
     return MethodComparison(
         reference_method=reference_method,
         test_method=test_method,
-        points=tuple(points),
-        max_rel_error=max(errs) if errs else 0.0,
+        points=points,
+        max_rel_error=max(errs, default=0.0),
         median_rel_error=float(np.median(errs)) if errs else 0.0,
     )
 
@@ -227,11 +204,7 @@ def compare_methods(rows, reference_method=None, test_method="monte_carlo",
 # ---------------------------------------------------------------------------
 
 def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)           # shortest round-trip decimal
-    return str(value)
+    return "" if value is None else str(value)   # a float's str is its shortest round trip
 
 
 def _with_file(target, mode, use):
@@ -253,19 +226,27 @@ def emit_csv(rows, destination):
     ``destination`` is a path or a text file object.  Optional fields are
     left blank.
     """
+    columns = fields(ResultRow)
+
     def write(fh):
         fh.write(CSV_HEADER + "\n")
         for r in rows:
-            fh.write(",".join(_fmt(v) for v in (
-                r.n, r.w, r.threshold_linear, r.threshold_db, r.method,
-                r.nlcr, r.raw_rate, r.mc_crossings, r.mc_duration,
-            )) + "\n")
+            fh.write(",".join(_fmt(getattr(r, c.name)) for c in columns) + "\n")
 
     _with_file(destination, "w", write)
 
 
+def _parse_cell(column, text):
+    """``text`` as the type of ``column``; a blank optional cell is None."""
+    if column.default is None and not text:
+        return None
+    return (get_args(column.type) or (column.type,))[0](text)
+
+
 def read_csv(source):
     """Parse a CSV produced by ``emit_csv`` back into ResultRow objects."""
+    columns = fields(ResultRow)
+
     def parse(fh):
         header = fh.readline().strip()
         if header != CSV_HEADER:
@@ -275,16 +256,13 @@ def read_csv(source):
             line = line.rstrip("\n")
             if not line:
                 continue
-            parts = line.split(",")
-            if len(parts) != 9:
+            cells = line.split(",")
+            if len(cells) != len(columns):
                 raise ConfigError(f"malformed CSV line {line!r}")
-            rows.append(ResultRow(
-                n=int(parts[0]), w=float(parts[1]),
-                threshold_linear=float(parts[2]), threshold_db=float(parts[3]),
-                method=parts[4], nlcr=float(parts[5]), raw_rate=float(parts[6]),
-                mc_crossings=int(parts[7]) if parts[7] else None,
-                mc_duration=float(parts[8]) if parts[8] else None,
-            ))
+            try:
+                rows.append(ResultRow(*map(_parse_cell, columns, cells)))
+            except ValueError as exc:
+                raise ConfigError(f"malformed CSV line {line!r}: {exc}") from exc
         return rows
 
     return _with_file(source, "r", parse)
@@ -297,18 +275,28 @@ def read_csv(source):
 def _parse_grid(text, kind=float):
     """Comma list ('0.5,1,2') or linspace spec ('lo:hi:count')."""
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"grid spec must be lo:hi:count, got {text!r}")
+    parts = text.split(":")
+    if len(parts) not in (1, 3):
+        raise ConfigError(f"grid spec must be lo:hi:count, got {text!r}")
+    try:
+        if len(parts) == 1:
+            return tuple(kind(v) for v in text.split(","))
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 1:
             raise ConfigError(f"grid count must be >= 1, got {count}")
         return tuple(kind(v) for v in np.linspace(lo, hi, count))
-    try:
-        return tuple(kind(v) for v in text.split(","))
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"cannot parse grid {text!r}: {exc}") from exc
+
+
+def _whole_number(value):
+    """``value`` (text or float) as an int; a fraction or an infinity is a ValueError."""
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{value} is not an integer")
+    return int(number)
 
 
 def _load_config_file(path):
@@ -332,11 +320,41 @@ def _load_config_file(path):
     return values
 
 
-_CONFIG_KEYS = (
-    "n", "w", "sigma2", "fd", "thresholds", "thresholds_db", "methods",
-    "method", "seed", "duration_cycles", "sample_rate_mult", "out",
-    "tolerance", "min_nlcr",
-)
+_COMMANDS = {
+    "analytic": "evaluate one analytic method on a grid",
+    "simulate": "Monte-Carlo estimate on a grid",
+    "sweep": "full (n, w, threshold, method) grid to CSV",
+    "compare": "gate Monte-Carlo against an analytic method",
+}
+
+
+# name: (convert, default, subcommands, help), in --help order.  The flag is
+# --<name> with '-' for '_' and the config-file key is <name>; a None default
+# gives no value, and None subcommands means every one.
+_OPTIONS = {
+    "n": (lambda text: _parse_grid(text, _whole_number), (2,), None,
+          "port counts, e.g. '2' or '2,3,4'"),
+    "w": (_parse_grid, (0.1,), None, "apertures in wavelengths, e.g. '0.1,0.3'"),
+    "sigma2": (float, 1.0, None, "channel power (default 1.0)"),
+    "fd": (float, 1.0, None, "maximum Doppler frequency in Hz (default 1.0)"),
+    "thresholds": (_parse_grid, None, None, "linear thresholds: '0.5,1' or 'lo:hi:count'"),
+    "thresholds_db": (_parse_grid, None, None, "thresholds in dB relative to the RMS envelope"),
+    "methods": (lambda text: tuple(text.split(",")), ("theorem1",), ("sweep",),
+                "comma list from: " + ", ".join(METHODS)),
+    "method": (str, "theorem1", ("analytic", "compare"),
+               "one of: " + ", ".join(m for m in METHODS if m != "monte_carlo")),
+    "seed": (int, 0, None, "root seed for Monte-Carlo substreams (default 0)"),
+    "duration_cycles": (float, 1e4, None, "simulated duration times f_D (default 1e4)"),
+    "sample_rate_mult": (float, 64.0, None, "sample rate divided by f_D (default 64)"),
+    "out": (str, "-", None, "output CSV path ('-' for stdout, the default)"),
+    "tolerance": (float, 0.05, ("compare",), "median relative NLCR error allowed (default 0.05)"),
+    "min_nlcr": (float, 0.05, ("compare",),
+                 "ignore points with analytic NLCR at or below this (default 0.05)"),
+}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
 
 
 def _build_parser():
@@ -346,129 +364,76 @@ def _build_parser():
                     "analytic evaluation and Monte-Carlo validation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, methods_flag):
+    for command, summary in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="key = value config file; flags override it")
-        p.add_argument("--n", help="port counts, e.g. '2' or '2,3,4'")
-        p.add_argument("--w", help="apertures in wavelengths, e.g. '0.1,0.3'")
-        p.add_argument("--sigma2", help="channel power (default 1.0)")
-        p.add_argument("--fd", help="maximum Doppler frequency in Hz (default 1.0)")
-        p.add_argument("--thresholds", help="linear thresholds: '0.5,1' or 'lo:hi:count'")
-        p.add_argument("--thresholds-db", dest="thresholds_db",
-                       help="thresholds in dB relative to the RMS envelope")
-        if methods_flag == "many":
-            p.add_argument("--methods", help="comma list from: " + ", ".join(METHODS))
-        elif methods_flag == "one":
-            p.add_argument("--method", help="one of: " + ", ".join(m for m in METHODS if m != "monte_carlo"))
-        p.add_argument("--seed", help="root seed for Monte-Carlo substreams (default 0)")
-        p.add_argument("--duration-cycles", dest="duration_cycles",
-                       help="simulated duration times f_D (default 1e4)")
-        p.add_argument("--sample-rate-mult", dest="sample_rate_mult",
-                       help="sample rate divided by f_D (default 64)")
-        p.add_argument("--out", help="output CSV path ('-' for stdout, the default)")
-
-    p = sub.add_parser("analytic", help="evaluate one analytic method on a grid")
-    add_common(p, "one")
-
-    p = sub.add_parser("simulate", help="Monte-Carlo estimate on a grid")
-    add_common(p, None)
-
-    p = sub.add_parser("sweep", help="full (n, w, threshold, method) grid to CSV")
-    add_common(p, "many")
-
-    p = sub.add_parser("compare", help="gate Monte-Carlo against an analytic method")
-    add_common(p, "one")
-    p.add_argument("--tolerance", help="median relative NLCR error allowed (default 0.05)")
-    p.add_argument("--min-nlcr", dest="min_nlcr",
-                   help="ignore points with analytic NLCR at or below this (default 0.05)")
-
+        for name, (_, _, commands, help_text) in _OPTIONS.items():
+            if commands is None or command in commands:
+                p.add_argument(_flag(name), help=help_text)
     return parser
 
 
-def _merged(args):
-    """Apply config-file defaults wherever the flag was not given."""
-    values = {k: getattr(args, k, None) for k in _CONFIG_KEYS}
+def _options(args):
+    """Every option's value: its flag, else its --config entry, else its default."""
+    given = {name: getattr(args, name, None) for name in _OPTIONS}
     if args.config:
-        for key, val in _load_config_file(args.config).items():
-            if key not in _CONFIG_KEYS:
+        for key, text in _load_config_file(args.config).items():
+            if key not in _OPTIONS:
                 raise ConfigError(f"unknown config key {key!r}")
-            if values.get(key) is None:
-                values[key] = val
+            if given[key] is None:
+                given[key] = text
+    values = {}
+    for name, (convert, default, _, _) in _OPTIONS.items():
+        text = given[name]
+        try:
+            values[name] = default if text is None else convert(text)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {_flag(name)}: {text!r} ({exc})") from exc
     return values
 
 
-def _get(values, key, default=None, convert=str):
-    raw = values.get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing required option --{key.replace('_', '-')}")
-        return default
-    try:
-        return convert(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for --{key.replace('_', '-')}: {raw!r} ({exc})") from exc
-
-
-def _thresholds_from(values, sigma):
-    linear = values.get("thresholds")
-    in_db = values.get("thresholds_db")
+def _run_command(args):
+    values = _options(args)
+    base_cfg = FasConfig(n_ports=1, aperture=0.0, sigma2=values["sigma2"],
+                         f_doppler=values["fd"])
+    linear, in_db = values["thresholds"], values["thresholds_db"]
     if linear is None and in_db is None:
         raise ConfigError("one of --thresholds or --thresholds-db is required")
     if linear is not None and in_db is not None:
         raise ConfigError("--thresholds and --thresholds-db are mutually exclusive")
-    if linear is not None:
-        return _parse_grid(linear)
-    return tuple(db_to_linear(db, sigma) for db in _parse_grid(in_db))
-
-
-def _run_command(args):
-    values = _merged(args)
-    sigma2 = _get(values, "sigma2", 1.0, float)
-    fd = _get(values, "fd", 1.0, float)
-    base_cfg = FasConfig(n_ports=1, aperture=0.0, sigma2=sigma2, f_doppler=fd)
-    thresholds = _thresholds_from(values, base_cfg.sigma)
-    n_list = _parse_grid(_get(values, "n", "2"), kind=lambda v: int(float(v)))
-    w_list = _parse_grid(_get(values, "w", "0.1"))
-    out = _get(values, "out", "-")
-
-    if args.command == "sweep":
-        methods = tuple(_get(values, "methods", "theorem1").split(","))
-    elif args.command == "simulate":
-        methods = ("monte_carlo",)
-    else:
-        methods = (_get(values, "method", "theorem1"),)
-        if args.command == "compare":
-            methods += ("monte_carlo",)
+    thresholds = linear or tuple(db_to_linear(db, base_cfg.sigma) for db in in_db)
+    methods = {
+        "analytic": (values["method"],),
+        "simulate": ("monte_carlo",),
+        "sweep": values["methods"],
+        "compare": (values["method"], "monte_carlo"),
+    }[args.command]
     sim = None
     # analytic never simulates: SweepSpec refuses its monte_carlo for want of sim
     if args.command != "analytic" and "monte_carlo" in methods:
-        sim = SimParams.from_cycles(
-            base_cfg,
-            duration_cycles=_get(values, "duration_cycles", 1e4, float),
-            rate_multiplier=_get(values, "sample_rate_mult", 64.0, float),
-            seed=_get(values, "seed", 0, int),
-        )
-    spec = SweepSpec(thresholds=thresholds, n_list=n_list, w_list=w_list,
+        sim = SimParams.from_cycles(base_cfg, duration_cycles=values["duration_cycles"],
+                                    rate_multiplier=values["sample_rate_mult"],
+                                    seed=values["seed"])
+    spec = SweepSpec(thresholds=thresholds, n_list=values["n"], w_list=values["w"],
                      methods=methods, sim=sim)
     rows = run_sweep(spec, base_cfg)
 
-    summary = None
-    if args.command == "compare":
-        tolerance = _get(values, "tolerance", 0.05, float)
-        min_nlcr = _get(values, "min_nlcr", 0.05, float)
-        summary = compare_methods(rows, reference_method=spec.methods[0],
-                                  min_nlcr=min_nlcr)
-        print(f"compared {len(summary.points)} points "
-              f"({summary.test_method} vs {summary.reference_method}, "
-              f"reference nlcr > {min_nlcr:g})")
-        print(f"median relative error: {summary.median_rel_error:.4%}")
-        print(f"max relative error:    {summary.max_rel_error:.4%}")
-    # compare prints its summary on stdout, so it writes rows only to a file
-    if summary is None or out != "-":
+    out = values["out"]
+    if args.command != "compare":
         emit_csv(rows, sys.stdout if out == "-" else out)
-    if summary is None:
         return 0
+    tolerance, min_nlcr = values["tolerance"], values["min_nlcr"]
+    summary = compare_methods(rows, reference_method=spec.methods[0], min_nlcr=min_nlcr)
+    print(f"compared {len(summary.points)} points "
+          f"({summary.test_method} vs {summary.reference_method}, "
+          f"reference nlcr > {min_nlcr:g})")
+    print(f"median relative error: {summary.median_rel_error:.4%}")
+    print(f"max relative error:    {summary.max_rel_error:.4%}")
+    # compare prints its summary on stdout, so it writes rows only to a file
     if out != "-":
+        emit_csv(rows, out)
         print(f"rows written to {out}")
     if summary.exceeds(tolerance):
         print(f"FAIL: median error exceeds tolerance {tolerance:.4%}")
@@ -489,7 +454,7 @@ def main(argv=None):
     except (AccuracyError, SingularityError, DomainError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except FasLcrError as exc:
+    except (FasLcrError, OSError) as exc:   # OSError: --out cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -94,6 +94,19 @@ def _even_function(x, cutoff, series, asymptotic):
     return _restore(out.reshape(arr.shape), scalar)
 
 
+def _squared_factorial_series(z, max_terms):
+    """sum_m z^m / (m!)^2, the power series of J0 (z = -x^2/4) and I0
+    (z = x^2/4), stopped once every term is below 1e-17 of its sum."""
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    for m in range(1, max_terms):
+        term = term * z / (m * m)
+        total = total + term
+        if np.all(np.abs(term) <= 1e-17 * np.abs(total)):
+            break
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Bessel J0
 # ---------------------------------------------------------------------------
@@ -112,13 +125,7 @@ def bessel_j0(x):
 def _j0_series(ax):
     # J0(x) = sum_m (-1)^m (x^2/4)^m / (m!)^2.  40 terms suffice at x = 8:
     # term_40 ~ 16^40/(40!)^2 ~ 1e-48.
-    z = -0.25 * ax * ax
-    term = np.ones_like(ax)
-    total = np.ones_like(ax)
-    for m in range(1, 40):
-        term = term * z / (m * m)
-        total = total + term
-    return total
+    return _squared_factorial_series(-0.25 * ax * ax, 40)
 
 
 def _j0_asymptotic(ax):
@@ -146,15 +153,7 @@ def bessel_i0_scaled(x):
 
 def _i0_scaled_series(ax):
     # I0(x) = sum_m (x^2/4)^m / (m!)^2, all terms positive, scaled by exp(-x).
-    z = 0.25 * ax * ax
-    term = np.ones_like(ax)
-    total = np.ones_like(ax)
-    for m in range(1, 220):
-        term = term * z / (m * m)
-        total = total + term
-        if np.all(term <= 1e-17 * total):
-            break
-    return np.exp(-ax) * total
+    return np.exp(-ax) * _squared_factorial_series(0.25 * ax * ax, 220)
 
 
 def _i0_scaled_asymptotic(ax):

@@ -2,10 +2,12 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 
+from faslcr import harness
 from faslcr.channel_model import FasConfig
 from faslcr.errors import ConfigError
 from faslcr.harness import (
@@ -45,6 +47,7 @@ class TestSweepSpec:
         dict(thresholds=(-1.0,), n_list=(2,), w_list=(0.1,), methods=("iid",)),
         dict(thresholds=(1.0,), n_list=(0,), w_list=(0.1,), methods=("iid",)),
         dict(thresholds=(1.0,), n_list=(2,), w_list=(-0.1,), methods=("iid",)),
+        dict(thresholds=(1.0,), n_list=(2,), w_list=(0.1,), methods=("iid", "iid")),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
@@ -150,6 +153,14 @@ class TestCompareMethods:
         with pytest.raises(ConfigError):
             compare_methods(rows)
 
+    def test_same_method_rejected(self):
+        rows = [
+            ResultRow(n=2, w=0.1, threshold_linear=1.0, threshold_db=0.0,
+                      method="monte_carlo", nlcr=1.0, raw_rate=1.0),
+        ]
+        with pytest.raises(ConfigError, match="'monte_carlo' with itself"):
+            compare_methods(rows, reference_method="monte_carlo")
+
     def test_missing_method_rejected(self):
         rows = [
             ResultRow(n=2, w=0.1, threshold_linear=1.0, threshold_db=0.0,
@@ -214,6 +225,18 @@ class TestCsv:
         emit_csv([ResultRow(n=1, w=0.1, threshold_linear=0.1, threshold_db=-20.0,
                             method="iid", nlcr=0.1, raw_rate=0.1)], buf)
         assert ",0.1,-20.0,iid,0.1,0.1,," in buf.getvalue()
+
+    @pytest.mark.parametrize("line", [
+        "x,0.1,1.0,0.0,iid,0.5,0.5,,",                       # non-integer n
+        "2,0.1,1.0,0.0,iid,abc,0.5,,",                       # non-numeric nlcr
+        ",0.1,1.0,0.0,iid,0.5,0.5,,",                        # blank required cell
+        "2,0.1,1.0,0.0,monte_carlo,0.5,0.5,1.5,200.0",       # fractional crossings
+    ])
+    def test_malformed_cell_names_the_line(self, line):
+        buf = io.StringIO()
+        emit_csv([], buf)
+        with pytest.raises(ConfigError, match=re.escape(f"malformed CSV line {line!r}")):
+            read_csv(io.StringIO(buf.getvalue() + line + "\n"))
 
     def test_io_error_carries_path(self):
         with pytest.raises(OSError, match="no/such/dir"):
@@ -296,3 +319,53 @@ class TestCli:
             cfgfile.write_text(f"{key} = 2\n")
             assert main(["analytic", "--config", str(cfgfile), "--thresholds", "1.0"]) == 2
             assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["sweep", "--n", "2", "--w", "0.3", "--thresholds", "1.0",
+                     "--methods", "iid", "--out", str(out)]) == 2
+        assert f"cannot write CSV to {str(out)!r}" in capsys.readouterr().err
+
+    def test_compare_refuses_monte_carlo_against_itself(self, capsys):
+        assert main(["compare", "--n", "2", "--w", "0.3", "--thresholds", "0.5",
+                     "--duration-cycles", "300", "--method", "monte_carlo"]) == 2
+        assert "methods must not repeat" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "2.5"], "cannot parse grid '2.5'"),
+        (["--n", "1e400"], "cannot parse grid '1e400'"),
+        (["--thresholds", "0.5:1:x"], "cannot parse grid '0.5:1:x'"),
+        (["--thresholds", "0.5:1:0.5"], "cannot parse grid '0.5:1:0.5'"),
+        (["--seed", "abc"], "bad value for --seed: 'abc'"),   # checked though iid never simulates
+    ])
+    def test_malformed_value_exits_2(self, flags, message, capsys):
+        argv = ["sweep", "--n", "2", "--w", "0.3", "--thresholds", "1.0", "--methods", "iid"]
+        assert main(argv + flags) == 2          # a repeated flag's last value wins
+        assert message in capsys.readouterr().err
+
+
+# One sample value per option, none of them its default.
+OPTION_SAMPLES = {
+    "n": "3,4", "w": "0.2", "sigma2": "2.5", "fd": "3.0", "thresholds": "0.5:1:3",
+    "thresholds_db": "-3,0", "methods": "iid,identical", "method": "identical",
+    "seed": "7", "duration_cycles": "300", "sample_rate_mult": "32", "out": "rows.csv",
+    "tolerance": "0.1", "min_nlcr": "0.2",
+}
+
+
+def test_option_samples_cover_every_option():
+    assert set(OPTION_SAMPLES) == set(harness._OPTIONS)
+
+
+@pytest.mark.parametrize("name", sorted(OPTION_SAMPLES))
+def test_config_key_and_flag_give_the_same_value(name, tmp_path):
+    commands = harness._OPTIONS[name][2] or ("sweep",)
+    parser = harness._build_parser()
+    text = OPTION_SAMPLES[name]
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{name} = {text}\n")
+    flag = "--" + name.replace("_", "-")
+    from_flag = harness._options(parser.parse_args([commands[0], f"{flag}={text}"]))
+    from_file = harness._options(parser.parse_args([commands[0], "--config", str(cfgfile)]))
+    assert from_flag == from_file
+    assert from_flag[name] != harness._options(parser.parse_args([commands[0]]))[name]
