@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 tolerance breach, 2 configuration error,
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass, fields
 from typing import Optional, get_args
@@ -357,13 +358,25 @@ def _flag(name):
     return "--" + name.replace("_", "-")
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """argparse takes '-10' as a flag's value but reads '-10,0,5' or
+    '-10:0:3' as an unknown flag.  No faslcr flag starts with a digit, so in
+    a subcommand every token that starts with '-' and a number is a value: a
+    grid that starts with a negative level."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="faslcr",
         description="Level crossing rate of an N-port fluid antenna system: "
                     "analytic evaluation and Monte-Carlo validation.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_SubcommandParser)
     for command, summary in _COMMANDS.items():
         p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="key = value config file; flags override it")

@@ -86,10 +86,45 @@ SERIES_TOLERANCE = Tolerance(rel_eps=1e-12, max_terms=500)
 # bounded-cost large-argument Marcum route takes over such arguments.
 _THEOREM1_MARCUM = Tolerance(rel_eps=1e-12, max_terms=20000)
 
-# Paired fixed-order Gauss panels; the high rule's value is kept, the
-# difference to the low rule is the panel error estimate.
-_GL_LO_NODES, _GL_LO_WEIGHTS = np.polynomial.legendre.leggauss(10)
-_GL_HI_NODES, _GL_HI_WEIGHTS = np.polynomial.legendre.leggauss(21)
+# The 21-point Gauss-Kronrod rule on [-1, 1] and the 10-point Gauss rule
+# embedded in it, as in QUADPACK's qk21 (Piessens et al., 1983): the
+# abscissae x >= 0 of the symmetric rule, from 1 down to the centre, with
+# their Kronrod weights; every second abscissa from the first is a Gauss
+# node, with the Gauss weight in _G10_HALF.  Computed offline with mpmath at
+# 50 digits: the Kronrod-only abscissae are the roots of the Stieltjes
+# polynomial E_11 (orthogonal to x^k P_10(x), k < 11), and the Kronrod
+# weights make the rule exact on 1, x, ..., x^20.
+_K21_HALF = (
+    (0.9956571630258081, 0.011694638867371874),
+    (0.9739065285171717, 0.032558162307964725),
+    (0.9301574913557082, 0.054755896574351995),
+    (0.8650633666889845, 0.07503967481091996),
+    (0.7808177265864169, 0.0931254545836976),
+    (0.6794095682990244, 0.10938715880229764),
+    (0.5627571346686047, 0.12349197626206584),
+    (0.4333953941292472, 0.13470921731147334),
+    (0.2943928627014602, 0.14277593857706009),
+    (0.14887433898163122, 0.14773910490133849),
+    (0.0, 0.1494455540029169),
+)
+_G10_HALF = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+             0.26926671930999635, 0.29552422471475287)
+
+
+def _kronrod_table():
+    """(nodes, weights): the 21 abscissae in increasing order, and a (21, 2)
+    matrix whose columns are the K21 weights and the G10 weights (0 at the
+    Kronrod-only abscissae), so one product gives both panel values."""
+    x, wk = np.array(_K21_HALF).T
+    wg = np.zeros(11)
+    wg[1::2] = _G10_HALF
+    nodes = np.concatenate([-x[:-1], x[::-1]])
+    weights = np.column_stack([np.concatenate([wk[:-1], wk[::-1]]),
+                               np.concatenate([wg[:-1], wg[::-1]])])
+    return nodes, weights
+
+
+_KRONROD_NODES, _KRONROD_WEIGHTS = _kronrod_table()
 
 
 # ---------------------------------------------------------------------------
@@ -99,10 +134,11 @@ _GL_HI_NODES, _GL_HI_WEIGHTS = np.polynomial.legendre.leggauss(21)
 def _integrate_adaptive(f, lo, hi, quad):
     """Integrate a smooth vectorised integrand over [lo, hi] adaptively.
 
-    Each panel is evaluated with 10- and 21-point Gauss rules; |difference|
-    is the error estimate, and panels failing their width-proportional share
-    of the budget are bisected.  All pending panels are evaluated in a single
-    integrand call per round.
+    Each panel is evaluated at the 21 nodes of the Gauss-Kronrod rule: the
+    K21 value is kept and |K21 - G10|, from the 10-point Gauss rule on every
+    second node, is its error estimate.  Panels failing their
+    width-proportional share of the budget are bisected.  All pending panels
+    are evaluated in a single integrand call per round, of 21 nodes each.
     """
     if hi <= lo:
         return 0.0
@@ -114,14 +150,10 @@ def _integrate_adaptive(f, lo, hi, quad):
     while a.size:
         half = 0.5 * (b - a)
         mid = 0.5 * (a + b)
-        # nodes: shape (n_panels, n_lo + n_hi), flattened for one call
-        x_lo = mid[:, None] + half[:, None] * _GL_LO_NODES[None, :]
-        x_hi = mid[:, None] + half[:, None] * _GL_HI_NODES[None, :]
-        xs = np.concatenate([x_lo, x_hi], axis=1)
+        # nodes: shape (n_panels, 21), flattened for one call
+        xs = mid[:, None] + half[:, None] * _KRONROD_NODES
         vals = f(xs.ravel()).reshape(xs.shape)
-        n_lo = _GL_LO_NODES.size
-        i_lo = half * (vals[:, :n_lo] @ _GL_LO_WEIGHTS)
-        i_hi = half * (vals[:, n_lo:] @ _GL_HI_WEIGHTS)
+        i_hi, i_lo = (vals @ _KRONROD_WEIGHTS).T * half
         err = np.abs(i_hi - i_lo)
         if scale is None:
             scale = max(float(np.sum(np.abs(i_hi))), 1e-300)
@@ -244,8 +276,17 @@ def lcr_theorem1(cfg, profile, x_th, quad=DEFAULT_QUADRATURE):
         terms = bessel_i0_scaled(v) * np.exp(fused) * leave_out / (1.0 - mu * mu)
         return (2.0 * x1 / sigma2) * np.sum(terms, axis=0)
 
-    second = _integrate_adaptive(integrand, 0.0, x_th, quad)
-    return _SQRT_2PI * x_th * cfg.f_doppler / cfg.sigma * (first + second)
+    prefactor = _SQRT_2PI * x_th * cfg.f_doppler / cfg.sigma
+    try:
+        second = _integrate_adaptive(integrand, 0.0, x_th, quad)
+    except AccuracyError as exc:
+        if isinstance(exc.partial, np.ndarray):
+            raise   # a Marcum factor ran out of terms: its partials are factors
+        raise AccuracyError(
+            f"theorem1 at N = {cfg.n_ports}, x_th = {x_th!r}: {exc}",
+            partial=prefactor * (first + exc.partial),
+        ) from exc
+    return prefactor * (first + second)
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,16 @@ class TestCli:
         assert row.threshold_linear == pytest.approx(2.0)   # 0 dB relative to sigma
         assert row.threshold_db == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("grid,count", [("-10,0,5", 3), ("-10:0:3", 3), ("-.5,1e-1", 2)])
+    def test_negative_db_grid_as_separate_argument(self, grid, count, capsys):
+        # argparse alone refuses these with "expected one argument"
+        argv = ["sweep", "--n", "2,3", "--w", "0.3", "--methods", "theorem1,iid"]
+        assert main(argv + ["--thresholds-db=" + grid]) == 0
+        joined = read_csv(io.StringIO(capsys.readouterr().out))
+        assert main(argv + ["--thresholds-db", grid]) == 0
+        assert read_csv(io.StringIO(capsys.readouterr().out)) == joined
+        assert len(joined) == 2 * 2 * count
+
     def test_compare_pass_and_breach(self, capsys):
         argv = ["compare", "--n", "2", "--w", "0.3", "--thresholds", "0.5:1.5:4",
                 "--duration-cycles", "1000", "--seed", "5", "--method", "theorem1"]

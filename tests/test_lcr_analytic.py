@@ -6,9 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
+from faslcr import lcr_analytic
 from faslcr.channel_model import CorrelationProfile, FasConfig, correlation_profile
 from faslcr.errors import AccuracyError, ConfigError, DomainError, SingularityError
 from faslcr.lcr_analytic import (
+    _KRONROD_NODES,
+    _KRONROD_WEIGHTS,
     DEFAULT_QUADRATURE,
     QuadratureSpec,
     lcr_identical,
@@ -378,6 +381,62 @@ class TestTheorem1:
         with pytest.raises(AccuracyError) as exc:
             lcr_theorem1(cfg, prof, 1.0, tiny)
         assert exc.value.partial is not None
+
+    @pytest.mark.parametrize("n,w,x_th", [(4, 0.1, 1.0), (8, 0.3, 2.0), (6, 0.1, 2.5)])
+    def test_quadrature_cap_partial_is_a_rate(self, n, w, x_th):
+        cfg = FasConfig(n, w)
+        prof = correlation_profile(cfg)
+        with pytest.raises(AccuracyError) as exc:
+            lcr_theorem1(cfg, prof, x_th, QuadratureSpec(max_subdivisions=1))
+        assert exc.value.partial == pytest.approx(lcr_theorem1(cfg, prof, x_th), rel=1e-6)
+        assert f"N = {n}, x_th = {x_th!r}" in str(exc.value)
+
+
+class TestKronrodRule:
+    def test_table_matches_quadpack(self, monkeypatch):
+        # scipy's qk21 constants, read by stubbing the panel evaluator they feed;
+        # both tables are correctly rounded from more digits, so they agree exactly
+        from scipy.integrate import _quad_vec
+        monkeypatch.setattr(_quad_vec, "_quadrature_gk", lambda a, b, f, norm, x, w, v: (x, w, v))
+        x, w, v = (np.array(t, dtype=float)[::-1]
+                   for t in _quad_vec._quadrature_gk21(-1.0, 1.0, None, None))
+        assert np.array_equal(_KRONROD_NODES, x)
+        assert np.array_equal(_KRONROD_WEIGHTS[:, 0], v)
+        assert np.array_equal(_KRONROD_WEIGHTS[1::2, 1], w)
+        assert not np.any(_KRONROD_WEIGHTS[0::2, 1])
+
+    def test_polynomial_exactness(self):
+        # K21 integrates x^d over [-1, 1] exactly up to d = 31, and G10 up to 19
+        for d in range(32):
+            exact = 0.0 if d % 2 else 2.0 / (d + 1)
+            k21, g10 = _KRONROD_NODES ** d @ _KRONROD_WEIGHTS
+            assert k21 == pytest.approx(exact, abs=1e-15)
+            if d < 20:
+                assert g10 == pytest.approx(exact, abs=1e-15)
+        assert abs(_KRONROD_NODES ** 20 @ _KRONROD_WEIGHTS[:, 1] - 2.0 / 21) > 1e-7
+
+    def test_every_round_evaluates_21_nodes_per_panel(self, monkeypatch):
+        calls = []
+        integrate_adaptive = lcr_analytic._integrate_adaptive
+
+        def spy(f, lo, hi, quad):
+            def recorded(x):
+                calls.append(x.copy())
+                return f(x)
+            return integrate_adaptive(recorded, lo, hi, quad)
+
+        monkeypatch.setattr(lcr_analytic, "_integrate_adaptive", spy)
+        cfg = FasConfig(6, 0.1)
+        lcr_theorem1(cfg, correlation_profile(cfg), 2.534)   # a point that splits
+        assert len(calls) > 2
+        for r, x in enumerate(calls):
+            panels = x.reshape(-1, 21)
+            assert len(panels) == 1 if r == 0 else len(panels) % 2 == 0
+            mid = 0.5 * (panels[:, 0] + panels[:, -1])
+            half = (panels[:, -1] - panels[:, 0]) / (2.0 * _KRONROD_NODES[-1])
+            assert panels == pytest.approx(mid[:, None] + half[:, None] * _KRONROD_NODES,
+                                           rel=0.0, abs=1e-14)
+        assert calls[0] == pytest.approx(1.267 * (1.0 + _KRONROD_NODES), rel=1e-15)
 
 
 class TestQuadratureSpec:

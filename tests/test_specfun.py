@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from faslcr import specfun
 from faslcr.errors import AccuracyError, ConfigError, DomainError
@@ -89,6 +89,18 @@ class TestBesselI0Scaled:
         assert bessel_i0_scaled(39.9999999) == pytest.approx(i0_scaled_quad(39.9999999), rel=1e-12)
         assert bessel_i0_scaled(40.0000001) == pytest.approx(i0_scaled_quad(40.0000001), rel=1e-12)
         assert bessel_i0_scaled(41.0) == pytest.approx(i0_scaled_quad(41.0), rel=1e-12)
+
+    def test_chebyshev_seam_continuous(self):
+        # the two expansions meet at 8: each matches the oracle on its own side
+        for x in (7.9999999, 8.0, 8.0000001, 8.5):
+            assert bessel_i0_scaled(x) == pytest.approx(i0_scaled_quad(x), rel=1e-12)
+            assert bessel_i0_scaled(x) == pytest.approx(special.i0e(x), rel=2e-15)
+
+    def test_against_scipy_i0e(self):
+        xs = np.concatenate([np.linspace(0.0, 200.0, 4001), np.geomspace(1e-8, 1e8, 2000)])
+        got = bessel_i0_scaled(xs)
+        assert got == pytest.approx(special.i0e(xs), rel=2e-15, abs=0.0)
+        assert np.array_equal(bessel_i0_scaled(-xs), got)
 
     def test_range_parity_monotonicity(self):
         xs = np.linspace(0.0, 200.0, 400)
