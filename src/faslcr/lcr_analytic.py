@@ -36,7 +36,7 @@ import numpy as np
 
 from .channel_model import _check_profile, _validate_mu, _validate_threshold
 from .errors import AccuracyError, ConfigError, DomainError
-from .specfun import Tolerance, bessel_i0_scaled, marcum_q1
+from .specfun import DEFAULT_TOLERANCE, bessel_i0_scaled, marcum_q1
 
 __all__ = [
     "QuadratureSpec",
@@ -73,18 +73,9 @@ class QuadratureSpec:
 
 DEFAULT_QUADRATURE = QuadratureSpec()
 
-# Default truncation budget for the two-port series.  The number of terms
-# grows like sqrt(mu^2 x_th^2 / (sigma^2 (1 - mu^2))), so correlations within
-# ~1e-4 of 1 need an explicitly larger cap.
-SERIES_TOLERANCE = Tolerance(rel_eps=1e-12, max_terms=500)
-
-# The exact rate's Marcum factors see Poisson means up to mu^2 x_th^2/s with
-# s = sigma^2 (1 - mu^2), which dense port layouts push into the thousands.
-# The Marcum kernel is vectorised over all of them, with no scalar loop, but
-# its term count per element still grows like their square root; the cap
-# covers the layouts the test suite and benchmark run, and stays until a
-# bounded-cost large-argument Marcum route takes over such arguments.
-_THEOREM1_MARCUM = Tolerance(rel_eps=1e-12, max_terms=20000)
+# The two-port series' truncation control, kept as a public name; the Marcum
+# kernel's large-argument route makes one budget serve every caller.
+SERIES_TOLERANCE = DEFAULT_TOLERANCE
 
 # The 21-point Gauss-Kronrod rule on [-1, 1] and the 10-point Gauss rule
 # embedded in it, as in QUADPACK's qk21 (Piessens et al., 1983): the
@@ -216,7 +207,7 @@ def _below_threshold_factors(cfg, profile, x1, x_th, tol):
     return marcum_q1(a, b, tol, True)
 
 
-def surviving_product(cfg, profile, x1, x_th, skip_index, tol=_THEOREM1_MARCUM):
+def surviving_product(cfg, profile, x1, x_th, skip_index, tol=DEFAULT_TOLERANCE):
     """prod_{k>=2, k != skip_index} [1 - Q1(sqrt(2 mu_k^2/s_k) x1, sqrt(2/s_k) x_th)]
     with s_k = sigma^2 (1 - mu_k^2).
 
@@ -261,12 +252,8 @@ def lcr_theorem1(cfg, profile, x_th, quad=DEFAULT_QUADRATURE):
     mu = np.abs(np.asarray(profile.mu[1:], dtype=float))[:, None]
     s = sigma2 * (1.0 - mu * mu)
 
-    first = math.exp(-x_th * x_th / sigma2) * float(np.prod(
-        _below_threshold_factors(cfg, profile, np.array([x_th]), x_th, _THEOREM1_MARCUM)
-    ))
-
     def integrand(x1):
-        factors = _below_threshold_factors(cfg, profile, x1, x_th, _THEOREM1_MARCUM)
+        factors = _below_threshold_factors(cfg, profile, x1, x_th, DEFAULT_TOLERANCE)
         # leave_out[j] = prod_{l<j} factors[l] * prod_{l>j} factors[l]
         leave_out = np.ones_like(factors)
         np.cumprod(factors[:-1], axis=0, out=leave_out[1:])
@@ -278,13 +265,17 @@ def lcr_theorem1(cfg, profile, x_th, quad=DEFAULT_QUADRATURE):
 
     prefactor = _SQRT_2PI * x_th * cfg.f_doppler / cfg.sigma
     try:
+        first = math.exp(-x_th * x_th / sigma2) * float(np.prod(
+            _below_threshold_factors(cfg, profile, np.array([x_th]), x_th, DEFAULT_TOLERANCE)
+        ))
         second = _integrate_adaptive(integrand, 0.0, x_th, quad)
     except AccuracyError as exc:
-        if isinstance(exc.partial, np.ndarray):
-            raise   # a Marcum factor ran out of terms: its partials are factors
+        # A Marcum cap leaves a matrix of partial factors and no rate; only the
+        # quadrature's partial is an integral.
+        marcum = isinstance(exc.partial, np.ndarray)
         raise AccuracyError(
             f"theorem1 at N = {cfg.n_ports}, x_th = {x_th!r}: {exc}",
-            partial=prefactor * (first + exc.partial),
+            partial=None if marcum else prefactor * (first + exc.partial),
         ) from exc
     return prefactor * (first + second)
 
@@ -293,7 +284,7 @@ def lcr_theorem1(cfg, profile, x_th, quad=DEFAULT_QUADRATURE):
 # Two-port incomplete-gamma series
 # ---------------------------------------------------------------------------
 
-def lcr_two_port_series(cfg, mu, x_th, tol=SERIES_TOLERANCE):
+def lcr_two_port_series(cfg, mu, x_th, tol=DEFAULT_TOLERANCE):
     """Two-port crossing rate as an incomplete-gamma series in the correlation.
 
     With s = sigma^2 (1 - mu^2) and y = x_th^2 / s, the series
@@ -304,13 +295,14 @@ def lcr_two_port_series(cfg, mu, x_th, tol=SERIES_TOLERANCE):
     weight at k times the survivor mass Pr[Poisson(y) > k], with the common
     factor 2 sqrt(2 pi) f_D (x_th/sigma) exp(-x_th^2/sigma^2) pulled out.
     The sum is 1 - Q1(mu sqrt(2 y), sqrt(2 y)), the survivor form of the
-    Poisson mixture, and is one ``marcum_q1`` call with ``complement``: it
-    starts at the dominant weight k0 = floor(mu^2 y), so correlations within
-    1e-6 of 1 (where y reaches ~1e6) stay computable, and each survivor mass
-    is summed on its small side, so the rate stays exact in deep fades (x_th
-    down to 1e-10 sigma).  Terms are added outward until their relative
-    contribution drops below ``tol.rel_eps``; AccuracyError carries the
-    prefactor times the partial sum.
+    Poisson mixture, and is one ``marcum_q1`` call with ``complement``.
+    Where xi = 2 mu y is large, as for correlations within 1e-6 of 1 (where
+    y reaches ~1e6), that call takes Temme's expansion at a fixed cost;
+    elsewhere it sums the mixture outward from the dominant weight
+    k0 = floor(mu^2 y), each survivor mass on its small side, so the rate
+    stays exact in deep fades (x_th down to 1e-10 sigma).  Terms are added
+    outward until their relative contribution drops below ``tol.rel_eps``;
+    AccuracyError carries the prefactor times the partial sum.
     """
     x_th = _validate_threshold(x_th)
     mu = _validate_mu(mu)

@@ -152,13 +152,14 @@ def theorem1_ncx2_per_term(sigma2, mus, x_th, fd=1.0):
     port k's 1 - Q1(a_k x1, b_k) is Pr[chi'^2_2((a_k x1)^2) <= b_k^2].
     Independent of faslcr's Marcum kernel.
     """
+    mu = np.asarray(mus[1:], dtype=float)
+    s = sigma2 * (1.0 - mu * mu)
+    ports = np.arange(2, len(mus) + 1)
+
     def product(x1, skip):
-        out = 1.0
-        for k, mu in enumerate(mus[1:], start=2):
-            if k != skip:
-                s = sigma2 * (1.0 - mu * mu)
-                out *= stats.ncx2.cdf(2.0 * x_th * x_th / s, 2, 2.0 * mu * mu * x1 * x1 / s)
-        return out
+        # one scipy call for every port's factor, then the product without port skip
+        factors = stats.ncx2.cdf(2.0 * x_th * x_th / s, 2, 2.0 * mu * mu * x1 * x1 / s)
+        return float(np.prod(factors[ports != skip]))
 
     return theorem1_per_term(sigma2, mus, x_th, product, fd)
 

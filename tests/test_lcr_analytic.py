@@ -162,16 +162,15 @@ class TestTwoPortSeries:
     def test_series_cap_raises_with_partial(self):
         cfg = FasConfig(2, 0.1)
         with pytest.raises(AccuracyError) as exc:
-            lcr_two_port_series(cfg, 0.9, 2.5, Tolerance(rel_eps=1e-12, max_terms=3))
+            # xi = 2 mu y = 9.5: the Poisson mixture, the Marcum route with a term cap
+            lcr_two_port_series(cfg, 0.9, 1.0, Tolerance(rel_eps=1e-12, max_terms=3))
         assert exc.value.partial is not None and exc.value.partial >= 0.0
 
-    def test_extreme_mu_needs_explicit_budget(self):
+    def test_extreme_mu_default_tolerance(self):
+        # y ~ 5e5: Temme's expansion, whose cost does not grow with y
         cfg = FasConfig(2, 0.1)
         mu = 1.0 - 1e-6
-        with pytest.raises(AccuracyError):
-            lcr_two_port_series(cfg, mu, 1.0)      # default 500-term cap
-        big = Tolerance(rel_eps=1e-12, max_terms=200_000)
-        got = lcr_two_port_series(cfg, mu, 1.0, big)
+        got = lcr_two_port_series(cfg, mu, 1.0)
         assert got == pytest.approx(two_port_lcr_quad(1.0, mu, 1.0), rel=1e-8)
 
     def test_errors(self):
@@ -333,9 +332,11 @@ class TestTheorem1:
 
     @pytest.mark.parametrize("n, x_th", [
         (8, PAPER_GRID[11]), (8, PAPER_GRID[12]), (6, PAPER_GRID[16]), (6, PAPER_GRID[17]),
+        (64, PAPER_GRID[19]),
     ])
     def test_dense_paper_grid_against_ncx2_factors(self, n, x_th):
-        # W = 0.1 rows whose factors see beta > 745 with alpha <= 700
+        # W = 0.1 rows whose factors see beta > 745 with alpha <= 700, and
+        # N = 64 at x_th = 3 (0.00760676), whose factors reach alpha ~ 1.6e5
         cfg = FasConfig(n, 0.1, sigma2=1.0, f_doppler=1.0)
         prof = correlation_profile(cfg)
         want = theorem1_ncx2_per_term(1.0, prof.mu, x_th)
@@ -381,6 +382,16 @@ class TestTheorem1:
         with pytest.raises(AccuracyError) as exc:
             lcr_theorem1(cfg, prof, 1.0, tiny)
         assert exc.value.partial is not None
+
+    def test_marcum_cap_names_the_point(self, monkeypatch):
+        # a Marcum factor that runs out of terms leaves no rate to report
+        monkeypatch.setattr(lcr_analytic, "DEFAULT_TOLERANCE", Tolerance(max_terms=2))
+        cfg = FasConfig(4, 0.3)
+        with pytest.raises(AccuracyError) as exc:
+            lcr_theorem1(cfg, correlation_profile(cfg), 1.0)
+        assert str(exc.value).startswith("theorem1 at N = 4, x_th = 1.0: ")
+        assert "did not converge within 2 terms" in str(exc.value)
+        assert exc.value.partial is None
 
     @pytest.mark.parametrize("n,w,x_th", [(4, 0.1, 1.0), (8, 0.3, 2.0), (6, 0.1, 2.5)])
     def test_quadrature_cap_partial_is_a_rate(self, n, w, x_th):

@@ -1,6 +1,10 @@
 """Special-function kernel against independent series/quadrature oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,14 +165,9 @@ class TestMarcumQ1:
         assert c == pytest.approx(stats.ncx2.cdf(2.0 * beta, 2, 2.0 * alpha), rel=1e-10, abs=0.0)
         assert q[-4] == pytest.approx(1.7596e-3, rel=1e-4)     # alpha = 650, beta = 760
 
-    def test_very_large_argument_needs_bigger_cap(self):
-        with pytest.raises(AccuracyError) as exc:
-            marcum_q1(200.0, 199.0)
-        assert exc.value.partial is not None
-        big = Tolerance(rel_eps=1e-12, max_terms=20000)
-        assert marcum_q1(200.0, 199.0, big) == pytest.approx(
-            marcum_q1_quad(200.0, 199.0), rel=1e-9
-        )
+    def test_very_large_argument_default_tolerance(self):
+        # xi = ab = 39800: the expansion route, at the default tolerance
+        assert marcum_q1(200.0, 199.0) == pytest.approx(marcum_q1_quad(200.0, 199.0), rel=1e-9)
 
     def test_bounds_and_monotonicity_random_grid(self):
         rng = np.random.default_rng(11)
@@ -198,20 +197,116 @@ class TestMarcumQ1:
             marcum_q1(math.nan, 1.0)
 
     def test_cap_raises_accuracy_error_with_partial(self):
+        # xi = 16 stays on the Poisson mixture, the only route with a term cap
         with pytest.raises(AccuracyError) as exc:
-            marcum_q1(12.0, 12.0, Tolerance(rel_eps=1e-12, max_terms=5))
+            marcum_q1(4.0, 4.0, Tolerance(rel_eps=1e-12, max_terms=5))
         assert 0.0 <= float(np.min(exc.value.partial))
 
     def test_cap_bounds_the_tail_sum(self, monkeypatch):
-        # alpha = beta = 5e11: the Poisson tail at k0 alone spans ~7e6 terms,
-        # so the cap has to stop it, not only the mixture around it
+        # alpha = beta = 9.68, xi = 19.36: the Poisson tail at k0 alone needs
+        # ~40 terms, so the cap has to stop it, not only the mixture around it
         calls = []
         pmf_run = specfun._pmf_run
         monkeypatch.setattr(specfun, "_pmf_run", lambda *args: calls.append(args) or pmf_run(*args))
         with pytest.raises(AccuracyError) as exc:
-            marcum_q1(1e6, 1e6, Tolerance(max_terms=5))
+            marcum_q1(4.4, 4.4, Tolerance(max_terms=5))
         assert len(calls) <= 4
         assert 0.0 <= exc.value.partial <= 1.0
+
+
+def _dyadic(x):
+    """x rounded to a multiple of 1/64, so that its square, the argument scipy
+    sees, is exact for |x| < 2^20."""
+    return np.round(np.asarray(x) * 64.0) / 64.0
+
+
+class TestMarcumLargeXi:
+    """Temme's expansion, the route of every element with xi = ab > _TEMME_XI."""
+
+    # The small side (Q1 where b >= a, 1 - Q1 where b < a) where scipy's ncx2
+    # cannot serve: near 1e-246, below its range, and at xi ~ 1e5 and 1e6, where
+    # it strays by up to 7e-12 in the tails.  Sums of the Poisson mixture (the
+    # survivor form for b < a) at 50 digits with mpmath.
+    MPMATH = (
+        (34.0, 67.5, 3.3964081807952713e-246), (67.5, 34.0, 1.7096562247368685e-246),
+        (100.0, 133.5, 2.7847174242907944e-246), (133.5, 100.0, 2.0853871304234852e-246),
+        (316.0, 316.0, 0.50063123857563485447), (316.0, 320.0, 3.1882332872693661101e-5),
+        (316.0, 330.0, 7.9651703219521210227e-45), (316.0, 340.0, 1.4423153875950727718e-127),
+        (316.0, 349.5, 2.534469249230305903e-246), (316.0, 305.0, 1.8768369606429126949e-28),
+        (316.0, 290.0, 2.371860149044865683e-149), (1000.0, 1000.0, 0.50019947116513462289),
+        (1000.0, 1001.0, 0.15877620907759596531), (1000.0, 1005.0, 2.8739400484502948093e-7),
+        (1000.0, 1020.0, 2.7810922033045592162e-89), (1000.0, 1033.5, 2.4499065976888920195e-246),
+        (1000.0, 990.0, 7.5812833597410685255e-24), (1000.0, 966.5, 2.3690938429462939436e-246),
+    )
+
+    def test_against_ncx2_across_switch(self):
+        # xi from 10 (the mixture) to 1e4, b/a from 0.5 to 2, both tails, the
+        # small side down to 1e-170: scipy's ncx2 returns 0 below about 1e-198
+        # and loses digits just above (7.8e-12 at 1.2e-195 against mpmath)
+        xi, rho = np.meshgrid(np.geomspace(10.0, 1e4, 25), np.geomspace(0.5, 2.0, 13))
+        a, b = _dyadic(np.sqrt(xi / rho)).ravel(), _dyadic(np.sqrt(xi * rho)).ravel()
+        want_q, want_p = stats.ncx2.sf(b * b, 2, a * a), stats.ncx2.cdf(b * b, 2, a * a)
+        keep = np.minimum(want_q, want_p) >= 1e-170
+        assert np.min(np.minimum(want_q, want_p)[keep]) < 1e-140
+        assert np.any(a * b <= specfun._TEMME_XI) and np.any(a * b > specfun._TEMME_XI)
+        a, b = a[keep], b[keep]
+        assert marcum_q1(a, b) == pytest.approx(want_q[keep], rel=1e-12, abs=0.0)
+        assert marcum_q1(a, b, DEFAULT_TOLERANCE, True) == pytest.approx(
+            want_p[keep], rel=1e-12, abs=0.0)
+
+    def test_against_mpmath_at_large_xi(self):
+        a, b, small = (np.array(col) for col in zip(*self.MPMATH))
+        q, p = marcum_q1(a, b), marcum_q1(a, b, DEFAULT_TOLERANCE, True)
+        low = b < a
+        assert np.where(low, p, q) == pytest.approx(small, rel=1e-14, abs=0.0)
+        assert np.where(low, q, p) == pytest.approx(1.0 - small, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("complement", [False, True])
+    def test_continuous_across_switch(self, monkeypatch, complement):
+        # the same arguments either side of xi = _TEMME_XI, on each route
+        xi = specfun._TEMME_XI * np.array([1.0 - 1e-6, 1.0 + 1e-6])
+        rho = np.geomspace(0.2, 5.0, 21)[:, None]
+        a, b = np.sqrt(xi / rho).ravel(), np.sqrt(xi * rho).ravel()
+        got = marcum_q1(a, b, DEFAULT_TOLERANCE, complement)
+        monkeypatch.setattr(specfun, "_TEMME_XI", math.inf)
+        mixture = marcum_q1(a, b, DEFAULT_TOLERANCE, complement)
+        monkeypatch.setattr(specfun, "_TEMME_XI", 0.0)
+        expansion = marcum_q1(a, b, DEFAULT_TOLERANCE, complement)
+        above = a * b > xi.mean()
+        assert np.array_equal(got[above], expansion[above])
+        assert np.array_equal(got[~above], mixture[~above])
+        # Both routes form the large side as 1 - small, except the mixture when
+        # it is asked for the large side: it sums that directly and stops at a
+        # term below rel_eps = 1e-12 of the sum, so it is good to about that.
+        small = (b >= a) != complement
+        assert expansion[small] == pytest.approx(mixture[small], rel=1e-13, abs=0.0)
+        assert expansion[~small] == pytest.approx(mixture[~small], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("complement", [False, True])
+    def test_subnormal_tail_seed_point(self, complement):
+        # alpha = 165110.5, beta = 180968: the mixture's Poisson(beta) pmf at
+        # k0 = floor(alpha) is subnormal.  scipy's ncx2 is itself 3e-10 off Q1
+        # here (an mpmath sum at 50 digits gives 2.0779942655767459e-160 for
+        # these rounded a and b).
+        a, b = math.sqrt(2 * 165110.5), math.sqrt(2 * 180968.0)
+        got = marcum_q1(a, b, Tolerance(1e-12, 20000), complement)
+        want = (stats.ncx2.cdf if complement else stats.ncx2.sf)(2 * 180968.0, 2, 2 * 165110.5)
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+        if not complement:
+            assert got == pytest.approx(2.0779942655767459e-160, rel=1e-14, abs=0.0)
+
+
+def test_import_loads_numpy_only():
+    # the runtime depends on numpy alone; scipy and mpmath are test oracles
+    src = str(Path(specfun.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, faslcr; "
+            "print(faslcr.__file__, [m for m in ('scipy', 'mpmath') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    path, loaded = done.stdout.rsplit(" ", 1)
+    assert Path(path).resolve().parent == Path(specfun.__file__).resolve().parent
+    assert loaded.strip() == "[]"
 
 
 class TestPoissonTail:
@@ -230,6 +325,19 @@ class TestPoissonTail:
         assert cdf == pytest.approx(stats.poisson.cdf(k, lam), rel=1e-12, abs=0.0)
         assert sf == pytest.approx(stats.poisson.sf(k, lam), rel=1e-12, abs=0.0)
         assert cdf + sf == pytest.approx(np.ones(k.size), rel=1e-15, abs=0.0)
+
+    def test_subnormal_seed_stops(self):
+        # Pr[Poisson(180968) = 165110] ~ 1e-314 is subnormal: 5e-324 times any
+        # ratio above 1/2 rounds back to itself, so a stop at 1e-18 of the sum
+        # alone (0 here) would walk ~75000 more terms, until k/lam < 1/2
+        k = np.array([165110.0, 5.0])
+        lam = np.array([180968.0, 5.0])
+        pmf = _poisson_pmf(k, lam)
+        assert 0.0 < pmf[0] < np.finfo(float).tiny
+        cdf = _poisson_tail(k, lam, pmf, False, max_terms=20000)
+        sf = _poisson_tail(k, lam, pmf, True, max_terms=20000)
+        assert cdf == pytest.approx(stats.poisson.cdf(k, lam), rel=1e-12, abs=1e-300)
+        assert sf == pytest.approx(stats.poisson.sf(k, lam), rel=1e-12, abs=0.0)
 
 
 class TestLowerGammaInt:
