@@ -16,20 +16,17 @@ array operations, whatever its arguments.
 Q1, its complement 1 - Q1 and the two-port crossing-rate series are one
 function, with ``complement`` choosing the side; ``lcr_analytic`` calls
 ``marcum_q1`` for the N-port factors and the two-port series alike.  It has
-two routes, chosen per element by xi = ab:
+two routes, chosen per element by xi = ab, each a fixed number of array
+operations per call whatever the arguments:
 
-* xi <= 20: a Poisson(alpha)-weighted mixture of Poisson(beta) tails (Q1
-  mixes CDFs, 1 - Q1 mixes survivors), summed by one array kernel,
-  ``_poisson_mixture``, outward from each element's dominant weight in
-  lock-step blocks.  The Poisson pmfs are seeded in Loader's saddle-point
-  form and the tails summed on their small side.
+* xi <= 20: the Bessel series of Q1 in I_k(xi)/I_0(xi), a fixed 48 terms
+  summed backward together with the ratios themselves.
 * xi > 20: Temme's uniform expansion for large xi, an erfc term (Cody's
-  rational erfc) plus 20 terms of a recurrence, a fixed number of array
-  operations whatever the arguments; its cost does not grow with alpha and
-  beta as the mixture's does.
+  rational erfc) plus 20 terms of a recurrence.
 
 Each route computes the side that is small and forms only the other one as
-1 minus it, so either side stays exact where it is small.
+1 minus it, so either side stays exact where it is small; both share the
+factor exp(-(b - a)^2/2), built from the exact difference b - a.
 
 All functions accept scalars or numpy arrays (broadcast where meaningful) and
 are pure, so they are safe to call concurrently.  I0 is only ever exposed in
@@ -44,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, ConfigError, DomainError
+from .errors import ConfigError, DomainError
 
 __all__ = [
     "Tolerance",
@@ -58,10 +55,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Truncation control for the series evaluations.
+    """Truncation control of the series evaluations, validated but no longer
+    read: every Marcum route now sums a fixed number of terms.  Kept because
+    the public ``tol`` parameters, and callers that build one, still take it.
 
-    rel_eps   -- stop once a term's relative contribution drops below this
-    max_terms -- hard cap on the number of series terms summed
+    rel_eps   -- relative size of the last term kept
+    max_terms -- cap on the number of series terms summed
     """
 
     rel_eps: float = 1e-12
@@ -75,8 +74,6 @@ class Tolerance:
 
 
 DEFAULT_TOLERANCE = Tolerance()
-
-_TINY = np.finfo(float).tiny
 
 # |x| at which both Bessel evaluators switch branch: J0's power series is
 # machine accurate (and cancellation-safe) up to here, and I0's two Chebyshev
@@ -222,55 +219,75 @@ def _i0_scaled_large(ax):
 
 def marcum_q1(a, b, tol=DEFAULT_TOLERANCE, complement=False):
     """First-order Marcum Q-function Q1(a, b) for a, b >= 0, or 1 - Q1(a, b)
-    if ``complement``.  With alpha = a^2/2 and beta = b^2/2,
-
-        Q1(a, b)     = sum_{k>=0} PoisPmf(k; alpha) * PoisCdf(k; beta),
-        1 - Q1(a, b) = sum_{k>=0} PoisPmf(k; alpha) * PoisSf(k; beta).
+    if ``complement``.
 
     Elements with xi = ab > _TEMME_XI go to Temme's large-xi expansion
-    (``_temme_small_side``), a fixed number of array operations per call;
-    every other element with b > 0 is summed by ``_poisson_mixture`` outward
-    from its dominant weight k0 = floor(alpha), and the complement is summed,
-    never formed as 1 - Q1.  Either route computes the side that is small
-    and forms only the other one as 1 minus it, so each side stays exact
-    where it is small.  ``tol`` applies to the mixture alone: ``max_terms``
-    caps its terms per element, counted per block of consecutive terms, in
-    the mixture and in the Poisson tail that seeds it; AccuracyError
-    (carrying the partial sums) is raised if it runs out before the
-    truncation criterion is met.
+    (``_temme_small_side``), every other one to the Bessel series
+    (``_bessel_small_side``).  Each route returns the side that is small,
+    and only the other side is formed as 1 minus it, so Q1 and 1 - Q1 both
+    stay exact where they are small; sides below the double range come out
+    0.  Both routes sum a fixed number of terms, so the call never runs out
+    of terms; ``tol`` is accepted for compatibility and not read.
     """
     a_arr, a_scalar = _as_float_array(a, "a")
     b_arr, b_scalar = _as_float_array(b, "b")
     if np.any(a_arr < 0.0) or np.any(b_arr < 0.0):
         raise DomainError("marcum_q1 requires a >= 0 and b >= 0")
     a_arr, b_arr = np.broadcast_arrays(a_arr, b_arr)
-    alpha, beta = 0.5 * a_arr * a_arr, 0.5 * b_arr * b_arr
-    scalar = a_scalar and b_scalar
-    out = np.full(alpha.shape, 0.0 if complement else 1.0)   # its value at b = 0
-    pos = beta > 0.0
     large = a_arr * b_arr > _TEMME_XI
+    # the small side is Q1 where b >= a, except 1 - Q1 on the series route
+    # where b <= 1
+    upper = (b_arr >= a_arr) & (large | (b_arr > 1.0))
+    small = np.empty(a_arr.shape)
     if large.any():
-        a_l, b_l = a_arr[large], b_arr[large]
-        small = _temme_small_side(a_l, b_l)
-        # the small side is Q1 where b >= a, and 1 - Q1 where b < a
-        out[large] = np.where((b_l >= a_l) != complement, small, 1.0 - small)
-        pos &= ~large
-    if pos.any():
-        try:
-            out[pos] = _poisson_mixture(alpha[pos], beta[pos], tol, complement)
-        except AccuracyError as exc:
-            out[pos] = exc.partial
-            raise AccuracyError(str(exc), partial=_restore(out, scalar)) from None
-    return _restore(out, scalar)
+        small[large] = _temme_small_side(a_arr[large], b_arr[large])
+    if not large.all():
+        series = ~large
+        small[series] = _bessel_small_side(a_arr[series], b_arr[series], upper[series])
+    out = np.where(upper != complement, small, 1.0 - small)
+    return _restore(out, a_scalar and b_scalar)
 
 
-# xi = ab above which ``marcum_q1`` leaves the Poisson mixture for Temme's
-# expansion, and the expansion's number of terms.  Against Poisson-mixture
-# sums at 50 digits with mpmath over rho = b/a in [0.02, 50], 20 terms are
-# within 1.0e-15 relative of the small side, down to 1e-300, for xi >= 20
-# (9.3e-15 at xi = 17.5, 3.0e-13 at 15); where it is above 1e-15, the
-# mixture agrees with them to 1.9e-14 from xi = 17.5 to 50.  The full
-# switch map is in CHANGES.md.
+# Terms of the Bessel series, enough for xi <= _TEMME_XI: at xi = 20 the
+# terms beyond the first 42 sum to below 1e-16 of the first, and those beyond
+# 48 to 3e-21 (mpmath).
+_BESSEL_TERMS = 48
+
+
+def _bessel_small_side(a, b, upper):
+    """Q1(a, b) where ``upper`` and 1 - Q1(a, b) elsewhere, over 1-D arrays
+    with xi = ab <= _TEMME_XI, by the Bessel series (J. I. Marcum, 1950;
+    D. A. Shnidman, IEEE Trans. Inf. Theory 35(2), 1989)
+
+        Q1(a, b)     = e^(-(a^2 + b^2)/2) sum_{k>=0} (a/b)^k I_k(ab),
+        1 - Q1(a, b) = e^(-(a^2 + b^2)/2) sum_{k>=1} (b/a)^k I_k(ab).
+
+    With r_j = I_j(xi)/I_(j-1)(xi) = xi/(2j + xi r_(j+1)), the sums are
+    e^(-(b-a)^2/2) I0~(xi) T_0, for Q1, and the same times T_0 - 1, for
+    1 - Q1, where T_(j-1) = 1 + c T_j/(2j + xi r_(j+1)) with c = a^2 for Q1
+    and b^2 for 1 - Q1, and I0~(xi) = e^-xi I0(xi).  Both recurrences run
+    backward from r = 0 and T = 1 over _BESSEL_TERMS terms, and T_0 - 1 is
+    formed as its last step, so nothing cancels.  c is at most xi, or 1
+    where a < b <= 1, so the terms fall off at least as fast as those of
+    I_k(20)/I_0(20) or 1/(2^k k!).
+    """
+    xi = a * b
+    c = np.square(np.where(upper, a, b))
+    r = np.zeros_like(xi)
+    t = np.ones_like(xi)
+    for j in range(_BESSEL_TERMS, 1, -1):
+        d = 2.0 * j + xi * r
+        r = xi / d
+        t = 1.0 + c * t / d
+    tail = c * t / (2.0 + xi * r)
+    return _gauss_gap(a, b)[1] * bessel_i0_scaled(xi) * np.where(upper, 1.0 + tail, tail)
+
+
+# xi = ab above which ``marcum_q1`` leaves the Bessel series for Temme's
+# expansion, and the expansion's number of terms.  Against sums at 50 digits
+# with mpmath over rho = b/a in [0.02, 50], 20 terms are within 1.0e-15
+# relative of the small side, down to 1e-300, for xi >= 20 (9.3e-15 at
+# xi = 17.5, 3.0e-13 at 15).  The full switch map is in CHANGES.md.
 _TEMME_XI = 20.0
 _TEMME_TERMS = 20
 
@@ -310,27 +327,34 @@ def _temme_small_side(a, b):
     with z = sigma xi = (b - a)^2/2, A0_n and A1_n the Hankel coefficients
     ``_HANKEL_I0`` and ``_HANKEL_I1``, and g_n(z) = z^(n-1/2) e^z
     Gamma(1/2 - n, z) = (1 - z g_(n-1))/(n - 1/2).  The first _TEMME_TERMS
-    terms are summed.  The erfc comes from ``_erfcx``, and e^-z is formed from
-    the exact b - a, so the small side keeps its relative accuracy deep into
+    terms are summed.  The erfc comes from ``_erfcx``, and e^-z from
+    ``_gauss_gap``, so the small side keeps its relative accuracy deep into
     either tail.
     """
     xi, rho = a * b, b / a
-    hi, lo = np.maximum(a, b), np.minimum(a, b)
-    d = hi - lo
-    d_err = (hi - d) - lo            # hi - lo = d + d_err exactly (Fast2Sum)
+    d, scale = _gauss_gap(a, b)
     z = 0.5 * d * d
     ex = _erfcx(d * math.sqrt(0.5))
     series = _temme_series(z, xi, rho, ex)
-    # e^-((d + d_err)^2/2): h = d cut to a multiple of 1/16 squares exactly, so
-    # only the small remainder's exponent is rounded (Cody's device in CALERF).
-    # That exponent is at most d^2 eps, far below h^2/2; the cap keeps its exp
-    # finite where e^(-h^2/2) is 0.
-    h = np.floor(16.0 * d) / 16.0
-    rest = np.minimum(-0.5 * (d - h) * (d + h) - d * d_err, 700.0)
-    scale = np.exp(-0.5 * h * h) * np.exp(rest)
     sign = np.where(b >= a, 1.0, -1.0)
     return scale * (0.5 * np.sqrt(rho) * ex
                     + sign * np.sqrt(xi) * series / (2.0 * math.sqrt(2.0 * math.pi)))
+
+
+def _gauss_gap(a, b):
+    """(d, e^(-d^2/2)) with d = |b - a|, over 1-D arrays, the exponential
+    formed from the exact difference: hi - lo = d + d_err exactly (Fast2Sum),
+    and h = d cut to a multiple of 1/16 squares exactly, so only the small
+    remainder's exponent is rounded (Cody's device in CALERF).  That exponent
+    is at most d^2 eps, far below h^2/2; the cap keeps its exp finite where
+    e^(-h^2/2) is 0.
+    """
+    hi, lo = np.maximum(a, b), np.minimum(a, b)
+    d = hi - lo
+    d_err = (hi - d) - lo
+    h = np.floor(16.0 * d) / 16.0
+    rest = np.minimum(-0.5 * (d - h) * (d + h) - d * d_err, 700.0)
+    return d, np.exp(-0.5 * h * h) * np.exp(rest)
 
 
 def _temme_series(z, xi, rho, ex):
@@ -423,153 +447,6 @@ def _horner(coefs, t):
     for c in coefs[1:]:
         out = out * t + c
     return out
-
-
-def _poisson_mixture(alpha, beta, tol, upper):
-    """sum_k PoisPmf(k; alpha) * T(k; beta) over 1-D arrays alpha >= 0, beta > 0,
-    with T(k; beta) = Pr[Poisson(beta) > k] if ``upper``, else Pr[Poisson(beta) <= k].
-
-    Each element starts at its own k0 = floor(alpha), with the weight and the
-    Poisson(beta) pmf seeded by ``_poisson_pmf`` and T(k0; beta) by
-    ``_poisson_tail``, then sums upward, and downward to k = 0, in lock-step
-    blocks of consecutive k laid out (k, element): weights and pmfs are
-    ``_pmf_run`` products, and T moves by one signed pmf per step.  An
-    element leaves a direction once its block ends on a term below
-    ``tol.rel_eps`` times its sum.
-    """
-    n = alpha.size
-    block = _block_length(n)
-    k0 = np.floor(alpha)
-    w0, r0 = np.split(_poisson_pmf(np.concatenate([k0, k0]), np.concatenate([alpha, beta])), 2)
-    try:
-        t0 = _poisson_tail(k0, beta, r0, upper, tol.max_terms)
-    except AccuracyError as exc:
-        raise AccuracyError(str(exc), partial=w0 * exc.partial) from None
-    total = w0 * t0
-    budget = tol.max_terms - 1
-    sign = -1.0 if upper else 1.0
-    for step in (1, -1):
-        # T(k+1) = T(k) + sign pmf(k+1); T(k-1) = T(k) - sign pmf(k)
-        idx = np.arange(n) if step > 0 else np.nonzero(k0)[0]
-        k, w, r, t, lam = k0[idx], w0[idx], r0[idx], t0[idx], beta[idx]
-        length = 8
-        while idx.size:
-            length = min(2 * length, block, budget)
-            if length == 0:
-                raise AccuracyError(f"Poisson-mixture series did not converge within "
-                                    f"{tol.max_terms} terms", partial=np.clip(total, 0.0, 1.0))
-            budget -= length
-            ws = _pmf_run(k, alpha[idx], w, step, length)
-            rs = _pmf_run(k, lam, r, step, length)
-            inc = rs if step > 0 else np.concatenate([r[None], rs[:-1]])
-            ts = t + (sign * step) * np.cumsum(inc, axis=0)
-            terms = ws * ts
-            sums = total[idx] + terms.sum(axis=0)
-            total[idx] = sums
-            live = terms[-1] > tol.rel_eps * sums
-            idx, lam = idx[live], lam[live]
-            k = k[live] + step * length
-            w, r, t = ws[-1, live], rs[-1, live], ts[-1, live]
-    return np.clip(total, 0.0, 1.0)
-
-
-def _block_length(n):
-    """Longest block of consecutive k over n elements (blocks double from 16
-    up to it): 256 for a few elements, so a long series is not one numpy step
-    per term, down to 1 for arrays that are already wide."""
-    return max(1, min(256, 8192 // n))
-
-
-def _pmf_run(k, lam, p, step, length):
-    """(length, n) block of Pr[Poisson(lam) = k + step*j] for j = 1..length,
-    from p = Pr[Poisson(lam) = k], one ratio per step; downward (lam > 0) the
-    ratio from k = 0 is 0, so every value below k = 0 comes out 0."""
-    j = np.arange(1, length + 1)[:, None]
-    if step > 0:
-        ratio = lam / (k + j)
-    else:
-        ratio = (k - j + 1) / lam
-    ratio[0] *= p
-    return np.cumprod(ratio, axis=0, out=ratio)
-
-
-def _poisson_tail(k, lam, p, upper, max_terms=math.inf):
-    """Pr[Poisson(lam) > k] if ``upper``, else Pr[Poisson(lam) <= k], over 1-D
-    arrays of integer-valued k >= 0 and lam > 0, given p = Pr[Poisson(lam) = k].
-
-    Sums the pmf on the side of k with less mass, which decays geometrically
-    within ~10*sqrt(lam) terms: the CDF downward from k when k < lam - 1,
-    otherwise the survivor upward from k + 1.  Either sum is at most about
-    1/2, so only its complement is formed as 1 - sum and a small tail never
-    comes out of cancellation (Shnidman, IEEE Trans. Inf. Theory 35(2), 1989).
-    At most ``max_terms`` terms are summed per element; AccuracyError carries
-    the partial tails, in [0, 1], if that is not enough.  An element leaves
-    the loop once its last term is below 1e-18 of its sum, or below the
-    smallest normal double: a subnormal term times a ratio above 1/2 can
-    round back to itself, so it would never fall to 0.
-    """
-    survivor = k >= lam - 1.0
-    # the CDF starts from the term p itself
-    total = np.where(survivor, 0.0, p)
-    block = _block_length(lam.size)
-    for side, step in ((survivor, 1), (~survivor, -1)):
-        idx = np.nonzero(side)[0]
-        start, mean, last = k[idx], lam[idx], p[idx]
-        budget = max_terms if step > 0 else max_terms - 1
-        length = 8
-        while True:
-            live = last > np.maximum(1e-18 * total[idx], _TINY)
-            if not live.any():
-                break
-            idx, start, mean, last = idx[live], start[live], mean[live], last[live]
-            length = min(2 * length, block, budget)
-            if length == 0:
-                partial = np.where(survivor == upper, total, 1.0 - total)
-                raise AccuracyError(f"Poisson tail did not converge within {max_terms} terms",
-                                    partial=np.clip(partial, 0.0, 1.0))
-            budget -= length
-            run = _pmf_run(start, mean, last, step, length)
-            total[idx] += run.sum(axis=0)
-            start, last = start + step * length, run[-1]
-    return np.where(survivor == upper, total, 1.0 - total)
-
-
-# stirlerr(k) = ln k! - ln(sqrt(2 pi k) (k/e)^k) for k = 0..15 (Loader's table).
-_STIRLERR = np.array([
-    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
-    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
-    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
-    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
-    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
-])
-
-
-def _poisson_pmf(k, lam):
-    """Pr[Poisson(lam) = k] elementwise, for integer-valued k >= 0 and lam > 0
-    (lam = 0 only at k = 0).
-
-    Loader's saddle-point form exp(-stirlerr(k) - bd0(k, lam)) / sqrt(2 pi k)
-    (C. Loader, "Fast and accurate computation of binomial probabilities",
-    2000): both parts are small and computed without cancellation, so the
-    relative error stays a few eps at any k, where exp(k ln lam - lam -
-    ln k!) loses about eps * k ln lam.
-    """
-    x = np.maximum(k, 1.0)
-    m = np.maximum(lam, _TINY)
-    # bd0(x, m) = x ln(x/m) + m - x; near x = m, the series in v = (x-m)/(x+m)
-    # d v + 2 x v sum_{j>=1} v^(2j)/(2j+1), converged by j = 9 for |v| < 0.1
-    d = x - m
-    v = d / (x + m)
-    v2 = v * v
-    odd = 0.0
-    for j in range(9, 0, -1):
-        odd = (odd + 1.0 / (2 * j + 1)) * v2
-    bd0 = np.where(np.abs(v) < 0.1, d * v + 2.0 * x * v * odd, x * np.log(x / m) - d)
-    # stirlerr beyond the table: Loader's asymptotic series in 1/k^2
-    xx = 1.0 / (x * x)
-    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - xx / 1188) * xx) * xx) * xx) / x
-    stirlerr = np.where(x <= 15.0, _STIRLERR[np.minimum(x, 15.0).astype(int)], series)
-    return np.where(k == 0.0, np.exp(-lam), np.exp(-stirlerr - bd0) / np.sqrt(2.0 * math.pi * x))
 
 
 # ---------------------------------------------------------------------------

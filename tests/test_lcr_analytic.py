@@ -159,13 +159,6 @@ class TestTwoPortSeries:
             sign_changes = int(np.sum(np.sign(diffs[:-1]) != np.sign(diffs[1:])))
             assert sign_changes == 1
 
-    def test_series_cap_raises_with_partial(self):
-        cfg = FasConfig(2, 0.1)
-        with pytest.raises(AccuracyError) as exc:
-            # xi = 2 mu y = 9.5: the Poisson mixture, the Marcum route with a term cap
-            lcr_two_port_series(cfg, 0.9, 1.0, Tolerance(rel_eps=1e-12, max_terms=3))
-        assert exc.value.partial is not None and exc.value.partial >= 0.0
-
     def test_extreme_mu_default_tolerance(self):
         # y ~ 5e5: Temme's expansion, whose cost does not grow with y
         cfg = FasConfig(2, 0.1)
@@ -382,16 +375,6 @@ class TestTheorem1:
         with pytest.raises(AccuracyError) as exc:
             lcr_theorem1(cfg, prof, 1.0, tiny)
         assert exc.value.partial is not None
-
-    def test_marcum_cap_names_the_point(self, monkeypatch):
-        # a Marcum factor that runs out of terms leaves no rate to report
-        monkeypatch.setattr(lcr_analytic, "DEFAULT_TOLERANCE", Tolerance(max_terms=2))
-        cfg = FasConfig(4, 0.3)
-        with pytest.raises(AccuracyError) as exc:
-            lcr_theorem1(cfg, correlation_profile(cfg), 1.0)
-        assert str(exc.value).startswith("theorem1 at N = 4, x_th = 1.0: ")
-        assert "did not converge within 2 terms" in str(exc.value)
-        assert exc.value.partial is None
 
     @pytest.mark.parametrize("n,w,x_th", [(4, 0.1, 1.0), (8, 0.3, 2.0), (6, 0.1, 2.5)])
     def test_quadrature_cap_partial_is_a_rate(self, n, w, x_th):

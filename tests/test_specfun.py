@@ -11,12 +11,10 @@ import pytest
 from scipy import special, stats
 
 from faslcr import specfun
-from faslcr.errors import AccuracyError, ConfigError, DomainError
+from faslcr.errors import ConfigError, DomainError
 from faslcr.specfun import (
     DEFAULT_TOLERANCE,
     Tolerance,
-    _poisson_pmf,
-    _poisson_tail,
     bessel_i0_scaled,
     bessel_j0,
     lower_gamma_int,
@@ -144,13 +142,13 @@ class TestMarcumQ1:
 
     @pytest.mark.parametrize("a,b", [(40.0, 38.0), (40.0, 42.0), (60.0, 60.0)])
     def test_large_argument_path(self, a, b):
-        # alpha = a^2/2 of 800 to 1800: the sum starts far from 0, at k0 = floor(alpha)
+        # alpha = a^2/2 of 800 to 1800, far above the switch: Temme's expansion
         assert marcum_q1(a, b) == pytest.approx(marcum_q1_quad(a, b), rel=1e-9)
 
     def test_both_sides_against_ncx2(self):
         # Q1(a, b) = ncx2.sf(b^2, 2, a^2) and 1 - Q1 = ncx2.cdf, in one call
-        # over mixed arguments, including alpha <= 700 with beta > 745, where
-        # an exp(-beta) pmf seed underflows to 0
+        # over arguments on both routes, including alpha <= 700 with
+        # beta > 745, where exp(-beta) alone underflows to 0
         alpha = [al for al in (1e-6, 0.3, 12.0, 650.0, 700.0, 2e4) for _ in range(4)]
         beta = [al * r for al in (1e-6, 0.3, 12.0, 650.0, 700.0, 2e4)
                 for r in (0.5, 0.9, 1.1, 2.0)]
@@ -180,13 +178,13 @@ class TestMarcumQ1:
         assert np.all(marcum_q1(a + delta, b) >= q - 1e-14)       # nondecreasing in a
 
     def test_vector_matches_scalar(self):
-        # batched convergence may take a few extra terms, so agreement is to
-        # the series tolerance rather than bitwise
+        # Temme's sum is a BLAS matrix product, whose rounding depends on the
+        # array shape, so agreement is to rounding rather than bitwise
         a = np.array([0.0, 1.0, 3.5, 40.0])
         b = np.array([1.0, 2.0, 0.0, 41.0])
         v = marcum_q1(a, b)
         s = [marcum_q1(float(x), float(y)) for x, y in zip(a, b)]
-        assert np.allclose(v, s, rtol=1e-12, atol=0)
+        assert np.allclose(v, s, rtol=1e-15, atol=0)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -196,22 +194,103 @@ class TestMarcumQ1:
         with pytest.raises(DomainError):
             marcum_q1(math.nan, 1.0)
 
-    def test_cap_raises_accuracy_error_with_partial(self):
-        # xi = 16 stays on the Poisson mixture, the only route with a term cap
-        with pytest.raises(AccuracyError) as exc:
-            marcum_q1(4.0, 4.0, Tolerance(rel_eps=1e-12, max_terms=5))
-        assert 0.0 <= float(np.min(exc.value.partial))
 
-    def test_cap_bounds_the_tail_sum(self, monkeypatch):
-        # alpha = beta = 9.68, xi = 19.36: the Poisson tail at k0 alone needs
-        # ~40 terms, so the cap has to stop it, not only the mixture around it
-        calls = []
-        pmf_run = specfun._pmf_run
-        monkeypatch.setattr(specfun, "_pmf_run", lambda *args: calls.append(args) or pmf_run(*args))
-        with pytest.raises(AccuracyError) as exc:
-            marcum_q1(4.4, 4.4, Tolerance(max_terms=5))
-        assert len(calls) <= 4
-        assert 0.0 <= exc.value.partial <= 1.0
+class TestMarcumBesselSeries:
+    """The Bessel series, the route of every element with xi = ab <= _TEMME_XI."""
+
+    # (a, b, Q1, 1 - Q1), each side rounded once to double from 60-digit
+    # mpmath sums at these exact a and b: the Bessel series of Q1 where
+    # b >= a and of 1 - Q1 where b < a, the other side as 1 minus it.  With
+    # 60 digits that subtraction loses nothing at double.  The first 63 rows are
+    # a = sqrt(xi/rho), b = sqrt(xi rho) for xi in 1e-8, 1e-3, 0.5, 2, 7, 13,
+    # 19.999 and rho = b/a in 1e-6, 1e-3, 0.1, 0.7, 1, 1.4, 10, 1e3, 1e6;
+    # then xi = 0, the deep-fade corner a < b <= 1e-3, a deep tail of 1 - Q1
+    # (xi = 10, b/a = 0.02), and alpha = a^2/2 up to 5e5 at xi = 15 and 10.
+    # A 0 is a side below the double range, and has to come out exactly 0.
+    MPMATH = (
+        (0.1, 1e-07, 0.999999999999995, 4.975062395963399e-15),
+        (0.0031622776601683794, 3.1622776601683796e-06, 0.999999999995, 4.999975000050001e-12),
+        (0.00031622776601683794, 3.1622776601683795e-05, 0.9999999995000001, 4.999999748750007e-10),
+        (0.00011952286093343938, 8.366600265340756e-05, 0.9999999965, 3.4999999688750004e-09),
+        (0.0001, 0.0001, 0.999999995, 4.9999999625e-09),
+        (8.451542547285167e-05, 0.00011832159566199231, 0.9999999930000001, 6.999999950499999e-09),
+        (3.1622776601683795e-05, 0.00031622776601683794, 0.9999999500000013, 4.999999872500002e-08),
+        (3.1622776601683796e-06, 0.0031622776601683794, 0.9999950000125, 4.999987499995834e-06),
+        (1e-07, 0.1, 0.9950124791926823, 0.004987520807317662),
+        (31.622776601683796, 3.1622776601683795e-05, 1.0, 3.5622886477658e-227),
+        (1.0, 0.001, 0.999999696734708, 3.0326529194815206e-07),
+        (0.1, 0.01, 0.9999502506135666, 4.974938643338526e-05),
+        (0.03779644730092273, 0.026457513110645904, 0.9996503110661525, 0.00034968893384750775),
+        (0.03162277660168379, 0.03162277660168379, 0.9995003747917578, 0.0004996252082422202),
+        (0.02672612419124244, 0.03741657386773942, 0.9993004947233138, 0.0006995052766861256),
+        (0.01, 0.1, 0.9950127279395989, 0.004987272060401067),
+        (0.001, 1.0, 0.6065308113452699, 0.3934691886547301),
+        (3.1622776601683795e-05, 31.622776601683793, 7.124578187885669e-218, 1.0),
+        (707.1067811865476, 0.0007071067811865475, 1.0, 0.0),
+        (22.360679774997898, 0.022360679774997897, 1.0, 6.882820352157153e-113),
+        (2.23606797749979, 0.22360679774997896, 0.9979095850893857, 0.002090414910614367),
+        (0.8451542547285166, 0.5916079783099616, 0.8842294247132457, 0.11577057528675427),
+        (0.7071067811865476, 0.7071067811865476, 0.822517635224575, 0.17748236477542498),
+        (0.5976143046671968, 0.8366600265340756, 0.7456383486079033, 0.2543616513920967),
+        (0.22360679774997896, 2.23606797749979, 0.08723109924889912, 0.9127689007511008),
+        (0.022360679774997897, 22.360679774997898, 2.8386181184569393e-109, 1.0),
+        (0.0007071067811865475, 707.1067811865476, 0.0, 1.0),
+        (1414.213562373095, 0.001414213562373095, 1.0, 0.0),
+        (44.721359549995796, 0.044721359549995794, 1.0, 0.0),
+        (4.47213595499958, 0.4472135954999579, 0.999993173765834, 6.82623416602103e-06),
+        (1.6903085094570331, 1.1832159566199232, 0.8169621732961165, 0.18303782670388347),
+        (1.4142135623730951, 1.4142135623730951, 0.6542541612768356, 0.3457458387231645),
+        (1.1952286093343936, 1.6733200530681511, 0.4659839551539642, 0.5340160448460358),
+        (0.4472135954999579, 4.47213595499958, 0.00010047058448411923, 0.9998995294155159),
+        (0.044721359549995794, 44.721359549995796, 0.0, 1.0),
+        (0.001414213562373095, 1414.213562373095, 0.0, 1.0),
+        (2645.7513110645905, 0.0026457513110645908, 1.0, 0.0),
+        (83.66600265340756, 0.08366600265340755, 1.0, 0.0),
+        (8.366600265340756, 0.8366600265340756, 0.9999999999999925, 7.524272251803935e-15),
+        (3.1622776601683795, 2.2135943621178655, 0.8732211150765874, 0.12677888492341263),
+        (2.6457513110645907, 2.6457513110645907, 0.5768688723364406, 0.42313112766355937),
+        (2.23606797749979, 3.1304951684997055, 0.24144010093578863, 0.7585598990642114),
+        (0.8366600265340756, 8.366600265340756, 8.243291766904898e-14, 0.9999999999999176),
+        (0.08366600265340755, 83.66600265340756, 0.0, 1.0),
+        (0.0026457513110645908, 2645.7513110645905, 0.0, 1.0),
+        (3605.5512754639894, 0.003605551275463989, 1.0, 0.0),
+        (114.0175425099138, 0.1140175425099138, 1.0, 0.0),
+        (11.40175425099138, 1.140175425099138, 1.0, 1.6044382484533496e-25),
+        (4.3094580368566735, 3.0166206257996713, 0.92402865240682, 0.07597134759318004),
+        (3.605551275463989, 3.605551275463989, 0.5558804169079273, 0.4441195830920726),
+        (3.0472470011002204, 4.266145801540309, 0.14026881581479766, 0.8597311841852023),
+        (1.140175425099138, 11.40175425099138, 1.6833921269617504e-24, 1.0),
+        (0.11401754250991379, 114.0175425099138, 0.0, 1.0),
+        (0.003605551275463989, 3605.5512754639894, 0.0, 1.0),
+        (4472.024150203127, 0.004472024150203127, 1.0, 0.0),
+        (141.4178206592083, 0.1414178206592083, 1.0, 0.0),
+        (14.141782065920829, 1.414178206592083, 1.0, 6.425906606426822e-38),
+        (5.345091205957107, 3.7415638441699746, 0.9568946991043614, 0.043105300895638604),
+        (4.472024150203127, 4.472024150203127, 0.5448912930304827, 0.45510870696951733),
+        (3.7795502377928516, 5.291370332909992, 0.08081209699246095, 0.919187903007539),
+        (1.414178206592083, 14.141782065920829, 6.628056671770696e-37, 1.0),
+        (0.1414178206592083, 141.4178206592083, 0.0, 1.0),
+        (0.004472024150203127, 4472.024150203127, 0.0, 1.0),
+        (0.0, 0.001, 0.999999500000125, 4.999998750000208e-07),
+        (0.0, 0.5, 0.8824969025845955, 0.1175030974154046),
+        (0.0, 1.0, 0.6065306597126334, 0.3934693402873666),
+        (0.0, 3.0, 0.011108996538242306, 0.9888910034617577),
+        (0.0, 30.0, 3.693883068487256e-196, 1.0),
+        (1e-05, 0.001, 0.999999500000125, 4.999998749750208e-07),
+        (0.0005, 0.001, 0.9999995000001874, 4.99999812500056e-07),
+        (1e-08, 0.0001, 0.999999995, 4.9999999875e-09),
+        (1e-09, 2e-09, 1.0, 2e-18),
+        (0.0002, 0.0003, 0.9999999550000019, 4.499999808750006e-08),
+        (22.3607, 0.447214, 1.0, 1.3119998430983409e-107),
+        (150.0, 0.1, 1.0, 0.0),
+        (1000.0, 0.01, 1.0, 0.0),
+    )
+
+    def test_both_sides_against_mpmath(self):
+        a, b, q, p = (np.array(col) for col in zip(*self.MPMATH))
+        assert np.all(a * b <= specfun._TEMME_XI)
+        assert marcum_q1(a, b) == pytest.approx(q, rel=2e-15, abs=0.0)
+        assert marcum_q1(a, b, DEFAULT_TOLERANCE, True) == pytest.approx(p, rel=2e-15, abs=0.0)
 
 
 def _dyadic(x):
@@ -240,7 +319,7 @@ class TestMarcumLargeXi:
     )
 
     def test_against_ncx2_across_switch(self):
-        # xi from 10 (the mixture) to 1e4, b/a from 0.5 to 2, both tails, the
+        # xi from 10 (the Bessel series) to 1e4, b/a from 0.5 to 2, both tails, the
         # small side down to 1e-170: scipy's ncx2 returns 0 below about 1e-198
         # and loses digits just above (7.8e-12 at 1.2e-195 against mpmath)
         xi, rho = np.meshgrid(np.geomspace(10.0, 1e4, 25), np.geomspace(0.5, 2.0, 13))
@@ -269,25 +348,21 @@ class TestMarcumLargeXi:
         a, b = np.sqrt(xi / rho).ravel(), np.sqrt(xi * rho).ravel()
         got = marcum_q1(a, b, DEFAULT_TOLERANCE, complement)
         monkeypatch.setattr(specfun, "_TEMME_XI", math.inf)
-        mixture = marcum_q1(a, b, DEFAULT_TOLERANCE, complement)
+        series = marcum_q1(a, b, DEFAULT_TOLERANCE, complement)
         monkeypatch.setattr(specfun, "_TEMME_XI", 0.0)
         expansion = marcum_q1(a, b, DEFAULT_TOLERANCE, complement)
         above = a * b > xi.mean()
         assert np.array_equal(got[above], expansion[above])
-        assert np.array_equal(got[~above], mixture[~above])
-        # Both routes form the large side as 1 - small, except the mixture when
-        # it is asked for the large side: it sums that directly and stops at a
-        # term below rel_eps = 1e-12 of the sum, so it is good to about that.
-        small = (b >= a) != complement
-        assert expansion[small] == pytest.approx(mixture[small], rel=1e-13, abs=0.0)
-        assert expansion[~small] == pytest.approx(mixture[~small], rel=1e-12, abs=0.0)
+        assert np.array_equal(got[~above], series[~above])
+        # both routes compute the small side and form the large one as 1 - small
+        assert expansion == pytest.approx(series, rel=2e-15, abs=0.0)
 
     @pytest.mark.parametrize("complement", [False, True])
     def test_subnormal_tail_seed_point(self, complement):
-        # alpha = 165110.5, beta = 180968: the mixture's Poisson(beta) pmf at
-        # k0 = floor(alpha) is subnormal.  scipy's ncx2 is itself 3e-10 off Q1
-        # here (an mpmath sum at 50 digits gives 2.0779942655767459e-160 for
-        # these rounded a and b).
+        # alpha = 165110.5, beta = 180968, where Pr[Poisson(beta) = floor(alpha)]
+        # is subnormal (the seed a Poisson-mixture sum would start from).
+        # scipy's ncx2 is itself 3e-10 off Q1 here (an mpmath sum at 50 digits
+        # gives 2.0779942655767459e-160 for these rounded a and b).
         a, b = math.sqrt(2 * 165110.5), math.sqrt(2 * 180968.0)
         got = marcum_q1(a, b, Tolerance(1e-12, 20000), complement)
         want = (stats.ncx2.cdf if complement else stats.ncx2.sf)(2 * 180968.0, 2, 2 * 165110.5)
@@ -307,37 +382,6 @@ def test_import_loads_numpy_only():
     path, loaded = done.stdout.rsplit(" ", 1)
     assert Path(path).resolve().parent == Path(specfun.__file__).resolve().parent
     assert loaded.strip() == "[]"
-
-
-class TestPoissonTail:
-    @pytest.mark.parametrize("lam", [1e-12, 0.3, 0.99, 5.0, 700.0, 1e5])
-    def test_both_sides_against_scipy(self, lam):
-        mode = math.floor(lam)
-        spread = 10.0 * math.sqrt(lam) + 10.0
-        ks = {0, mode - 1, mode, math.floor(lam - spread), math.ceil(lam + spread)}
-        k = np.array(sorted(k for k in ks if k >= 0), dtype=float)
-        lams = np.full(k.size, lam)
-        # The saddle-point pmf seed carries no eps * k ln(lam) error, so one
-        # flat bound holds from lam = 1e-12 to 1e5.
-        pmf = _poisson_pmf(k, lams)
-        cdf = _poisson_tail(k, lams, pmf, upper=False)
-        sf = _poisson_tail(k, lams, pmf, upper=True)
-        assert cdf == pytest.approx(stats.poisson.cdf(k, lam), rel=1e-12, abs=0.0)
-        assert sf == pytest.approx(stats.poisson.sf(k, lam), rel=1e-12, abs=0.0)
-        assert cdf + sf == pytest.approx(np.ones(k.size), rel=1e-15, abs=0.0)
-
-    def test_subnormal_seed_stops(self):
-        # Pr[Poisson(180968) = 165110] ~ 1e-314 is subnormal: 5e-324 times any
-        # ratio above 1/2 rounds back to itself, so a stop at 1e-18 of the sum
-        # alone (0 here) would walk ~75000 more terms, until k/lam < 1/2
-        k = np.array([165110.0, 5.0])
-        lam = np.array([180968.0, 5.0])
-        pmf = _poisson_pmf(k, lam)
-        assert 0.0 < pmf[0] < np.finfo(float).tiny
-        cdf = _poisson_tail(k, lam, pmf, False, max_terms=20000)
-        sf = _poisson_tail(k, lam, pmf, True, max_terms=20000)
-        assert cdf == pytest.approx(stats.poisson.cdf(k, lam), rel=1e-12, abs=1e-300)
-        assert sf == pytest.approx(stats.poisson.sf(k, lam), rel=1e-12, abs=0.0)
 
 
 class TestLowerGammaInt:
