@@ -17,8 +17,10 @@ The first term covers the reference port carrying the maximum, and summand
 i covers port i doing so.  The N - 1 factors are computed once per
 quadrature node, every P_{-i} comes from prefix and suffix products of them,
 and the summed integrand is integrated in one adaptive pass, so the Marcum
-work per node grows like N rather than N^2.  Three special cases collapse to
-closed forms:
+work per node grows like N rather than N^2.  The pass starts from four
+panels, and its first round also evaluates the factors at x1 = x_th for the
+first term, so a point makes exactly one Marcum call per quadrature round.
+Three special cases collapse to closed forms:
 
 * all correlations zero  -> the i.i.d. selection-combining rate,
 * all correlations one   -> the classical single-channel Rayleigh rate,
@@ -54,7 +56,12 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Adaptive-quadrature budget for the inner integral of the exact rate."""
+    """Adaptive-quadrature budget for the inner integral of the exact rate.
+
+    ``max_subdivisions`` caps the panel count less one.  The quadrature
+    starts from four equal panels, and those three starting cuts count as
+    subdivisions, so a cap below 3 raises ``AccuracyError`` at every point.
+    """
 
     abs_eps: float = 1e-12
     rel_eps: float = 1e-9
@@ -117,6 +124,12 @@ def _kronrod_table():
 
 _KRONROD_NODES, _KRONROD_WEIGHTS = _kronrod_table()
 
+# Equal panels the adaptive quadrature starts from.  A round costs mostly
+# the fixed overhead of its one integrand call, whatever its node count, and
+# most theorem1 points would bisect a single starting panel at least once;
+# starting from four spares those early rounds.
+_INITIAL_PANELS = 4
+
 
 # ---------------------------------------------------------------------------
 # Adaptive panel quadrature
@@ -125,6 +138,8 @@ _KRONROD_NODES, _KRONROD_WEIGHTS = _kronrod_table()
 def _integrate_adaptive(f, lo, hi, quad):
     """Integrate a smooth vectorised integrand over [lo, hi] adaptively.
 
+    The interval starts as ``_INITIAL_PANELS`` equal panels, and the cuts
+    between them count as subdivisions against ``quad.max_subdivisions``.
     Each panel is evaluated at the 21 nodes of the Gauss-Kronrod rule: the
     K21 value is kept and |K21 - G10|, from the 10-point Gauss rule on every
     second node, is its error estimate.  Panels failing their
@@ -134,9 +149,10 @@ def _integrate_adaptive(f, lo, hi, quad):
     if hi <= lo:
         return 0.0
     width = hi - lo
-    a, b = np.array([lo]), np.array([hi])
+    edges = np.linspace(lo, hi, _INITIAL_PANELS + 1)
+    a, b = edges[:-1], edges[1:]
     accepted = 0.0
-    splits = 0
+    splits = _INITIAL_PANELS - 1
     scale = None
     while a.size:
         half = 0.5 * (b - a)
@@ -240,7 +256,9 @@ def lcr_theorem1(cfg, profile, x_th, quad=DEFAULT_QUADRATURE):
     The first term covers the reference port being the strongest at the
     crossing instant; the integral covers every other port i being the
     strongest, summed over i under one integral over the reference amplitude
-    x1 in [0, x_th] and evaluated in a single adaptive pass.  At each node the
+    x1 in [0, x_th] and evaluated in a single adaptive pass.  The factors
+    F_k(x_th) of the first term come from the first round's Marcum call, as
+    one extra node column, so each round costs one call.  At each node the
     N - 1 below-threshold factors are computed once, and the product leaving
     out port i is the prefix product of the factors before i times the suffix
     product of those after it.  It is never the full product divided by
@@ -254,8 +272,18 @@ def lcr_theorem1(cfg, profile, x_th, quad=DEFAULT_QUADRATURE):
     mu = np.abs(np.asarray(profile.mu[1:], dtype=float))[:, None]
     s = sigma2 * (1.0 - mu * mu)
 
+    first = None
+
     def integrand(x1):
-        factors = _below_threshold_factors(cfg, profile, x1, x_th)
+        nonlocal first
+        if first is None:
+            # the first round also gives the reference-port factors F_k(x_th),
+            # from one extra node column of the same Marcum call
+            factors = _below_threshold_factors(cfg, profile, np.append(x1, x_th), x_th)
+            first = math.exp(-x_th * x_th / sigma2) * float(np.prod(factors[:, -1]))
+            factors = factors[:, :-1]
+        else:
+            factors = _below_threshold_factors(cfg, profile, x1, x_th)
         # leave_out[j] = prod_{l<j} factors[l] * prod_{l>j} factors[l]
         leave_out = np.ones_like(factors)
         np.cumprod(factors[:-1], axis=0, out=leave_out[1:])
@@ -266,9 +294,6 @@ def lcr_theorem1(cfg, profile, x_th, quad=DEFAULT_QUADRATURE):
         return (2.0 * x1 / sigma2) * np.sum(terms, axis=0)
 
     prefactor = _SQRT_2PI * x_th * cfg.f_doppler / cfg.sigma
-    first = math.exp(-x_th * x_th / sigma2) * float(np.prod(
-        _below_threshold_factors(cfg, profile, np.array([x_th]), x_th)
-    ))
     try:
         second = _integrate_adaptive(integrand, 0.0, x_th, quad)
     except AccuracyError as exc:

@@ -27,6 +27,23 @@ from faslcr.mc_simulator import SimParams
 
 BASE = FasConfig(n_ports=1, aperture=0.0, sigma2=1.0, f_doppler=1.0)
 
+# emit_csv output of TestCsv.test_fixed_sweep_bytes's sweep
+FIXED_SWEEP_CSV = """\
+n,w,threshold_linear,threshold_db,method,nlcr,raw_rate,mc_crossings,mc_duration
+1,0.2,0.5,-7.781512503836435,iid,0.8662273568691773,1.7324547137383546,,
+1,0.2,0.5,-7.781512503836435,identical,0.8662273568691773,1.7324547137383546,,
+1,0.2,1.0,-1.7609125905568113,iid,1.0507869004459855,2.101573800891971,,
+1,0.2,1.0,-1.7609125905568113,identical,1.0507869004459855,2.101573800891971,,
+1,0.2,2.0,4.2596873227228125,iid,0.28441708558635964,0.5688341711727193,,
+1,0.2,2.0,4.2596873227228125,identical,0.28441708558635964,0.5688341711727193,,
+3,0.2,0.5,-7.781512503836435,iid,0.06124537728420277,0.12249075456840554,,
+3,0.2,0.5,-7.781512503836435,identical,0.8662273568691773,1.7324547137383546,,
+3,0.2,1.0,-1.7609125905568113,iid,0.7463620616541375,1.492724123308275,,
+3,0.2,1.0,-1.7609125905568113,identical,1.0507869004459855,2.101573800891971,,
+3,0.2,2.0,4.2596873227228125,iid,0.7387970269992585,1.477594053998517,,
+3,0.2,2.0,4.2596873227228125,identical,0.28441708558635964,0.5688341711727193,,
+"""
+
 
 def small_sim(seed=0, cycles=200.0):
     return SimParams(sample_rate=64.0, duration=cycles, seed=seed)
@@ -203,6 +220,22 @@ class TestCsv:
         buf = io.StringIO()
         emit_csv(rows, buf)
         assert read_csv(io.StringIO(buf.getvalue())) == rows
+
+    def test_rows_are_slotted(self):
+        row = self.rows()[0]
+        assert not hasattr(row, "__dict__")
+        with pytest.raises(AttributeError):
+            row.nlcr = 1.0
+
+    def test_fixed_sweep_bytes(self):
+        # closed-form rows only, so the expectation does not hang on the
+        # last bits of a quadrature or of a random stream
+        spec = SweepSpec(thresholds=(0.5, 1.0, 2.0), n_list=(1, 3), w_list=(0.2,),
+                         methods=("iid", "identical"))
+        base = FasConfig(n_ports=1, aperture=0.0, sigma2=1.5, f_doppler=2.0)
+        buf = io.StringIO()
+        emit_csv(run_sweep(spec, base), buf)
+        assert buf.getvalue() == FIXED_SWEEP_CSV
 
     def test_header_only_for_empty(self):
         buf = io.StringIO()

@@ -10,6 +10,7 @@ from faslcr import lcr_analytic
 from faslcr.channel_model import CorrelationProfile, FasConfig, correlation_profile
 from faslcr.errors import AccuracyError, ConfigError, DomainError, SingularityError
 from faslcr.lcr_analytic import (
+    _INITIAL_PANELS,
     _KRONROD_NODES,
     _KRONROD_WEIGHTS,
     DEFAULT_QUADRATURE,
@@ -385,6 +386,25 @@ class TestTheorem1:
         assert exc.value.partial == pytest.approx(lcr_theorem1(cfg, prof, x_th), rel=1e-6)
         assert f"N = {n}, x_th = {x_th!r}" in str(exc.value)
 
+    @pytest.mark.parametrize("n,w,x_th", [
+        (1, 0.0, 1.0), (2, 0.3, 0.05), (4, 0.3, 1.2), (8, 0.1, 1.758), (12, 0.3, 3.0),
+    ])
+    def test_starting_cuts_count_as_subdivisions(self, n, w, x_th):
+        # four starting panels are three subdivisions, so a cap of 2 is
+        # exceeded by the first round at every point, converged or not
+        cfg = FasConfig(n, w)
+        prof = correlation_profile(cfg)
+        with pytest.raises(AccuracyError) as exc:
+            lcr_theorem1(cfg, prof, x_th, QuadratureSpec(max_subdivisions=2))
+        assert exc.value.partial == pytest.approx(lcr_theorem1(cfg, prof, x_th), rel=1e-6)
+
+    def test_cap_of_three_admits_the_starting_panels(self):
+        # a one-port rate has a zero integral: the starting panels all converge
+        cfg = FasConfig(1, 0.0)
+        prof = correlation_profile(cfg)
+        got = lcr_theorem1(cfg, prof, 1.0, QuadratureSpec(max_subdivisions=3))
+        assert got == lcr_theorem1(cfg, prof, 1.0)
+
 
 class TestKronrodRule:
     def test_table_matches_quadpack(self, monkeypatch):
@@ -425,12 +445,43 @@ class TestKronrodRule:
         assert len(calls) > 2
         for r, x in enumerate(calls):
             panels = x.reshape(-1, 21)
-            assert len(panels) == 1 if r == 0 else len(panels) % 2 == 0
+            assert len(panels) == _INITIAL_PANELS if r == 0 else len(panels) % 2 == 0
             mid = 0.5 * (panels[:, 0] + panels[:, -1])
             half = (panels[:, -1] - panels[:, 0]) / (2.0 * _KRONROD_NODES[-1])
             assert panels == pytest.approx(mid[:, None] + half[:, None] * _KRONROD_NODES,
                                            rel=0.0, abs=1e-14)
-        assert calls[0] == pytest.approx(1.267 * (1.0 + _KRONROD_NODES), rel=1e-15)
+        # round 0: the equal panels with edges k x_th / 4, k = 0..4
+        assert _INITIAL_PANELS == 4
+        edges = np.arange(5) * (2.534 / 4)
+        lo, hi = edges[:-1, None], edges[1:, None]
+        want = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _KRONROD_NODES
+        assert calls[0] == pytest.approx(want.ravel(), rel=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 8])
+    @pytest.mark.parametrize("w", [0.1, 0.3])
+    @pytest.mark.parametrize("x_th", [1.758, 2.534])
+    def test_one_marcum_call_per_round(self, monkeypatch, n, w, x_th):
+        # the reference-port factors F_k(x_th) ride on the first round's call
+        marcum_calls, rounds = [], []
+        marcum_q1 = lcr_analytic.marcum_q1
+        integrate_adaptive = lcr_analytic._integrate_adaptive
+
+        def marcum_spy(*args, **kwargs):
+            marcum_calls.append(args)
+            return marcum_q1(*args, **kwargs)
+
+        def integrate_spy(f, lo, hi, quad):
+            def recorded(x):
+                rounds.append(x.size)
+                return f(x)
+            return integrate_adaptive(recorded, lo, hi, quad)
+
+        monkeypatch.setattr(lcr_analytic, "marcum_q1", marcum_spy)
+        monkeypatch.setattr(lcr_analytic, "_integrate_adaptive", integrate_spy)
+        cfg = FasConfig(n, w)
+        lcr_theorem1(cfg, correlation_profile(cfg), x_th)
+        assert len(rounds) >= 1
+        assert len(marcum_calls) == len(rounds)
 
 
 class TestQuadratureSpec:
