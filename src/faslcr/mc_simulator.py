@@ -26,7 +26,10 @@ product whose rows are laid end to end and cut to n samples.  That takes
 about 2M(n/B + B) cosines and sines plus 2M n multiply-adds, where the
 direct sum takes M n cosines, and it agrees with the direct sum to rounding
 (about 1e-11 at 640k samples).  Each process keeps only its (2M x B) right
-factor; any range of block rows is evaluated from it on demand.
+factor; any range of block rows is evaluated from it on demand.  The left
+factors of all 2N processes are built per range in one batch: one cos and one
+sin over the (2N x blocks x M) array of A, after which each process's product
+goes straight into its row of one buffer.
 
 ``estimate_lcr`` streams: it walks the block rows in chunks of about
 _CHUNK_SAMPLES samples, and synthesizes, assembles, selects and counts one
@@ -205,12 +208,6 @@ class _ClarkeProcess:
     block_dt: float
     right: np.ndarray
 
-    def rows(self, first, stop):
-        """Block rows ``first`` to ``stop`` - 1, laid end to end (B samples each)."""
-        starts = np.outer(np.arange(first, stop) * self.block_dt, self.omegas) + self.phases
-        left = np.hstack([np.cos(starts), -np.sin(starts)])
-        return (left @ self.right).ravel() * math.sqrt(1.0 / self.omegas.size)
-
 
 def _clarke_process(rng, n_samples, dt, f_doppler, n_sinusoids):
     """One Gaussian process with variance 1/2 and Clarke Doppler spectrum.
@@ -232,7 +229,7 @@ def _clarke_process(rng, n_samples, dt, f_doppler, n_sinusoids):
 
 
 def _component_processes(cfg, sim):
-    """The (x, y) process pairs of the 2N components, in ``BaseProcesses`` row order."""
+    """The 2N component processes in stream order: x_0, y_0, x_2, y_2, ..., x_N, y_N."""
     if not isinstance(cfg, FasConfig):
         raise ConfigError(f"expected FasConfig, got {type(cfg).__name__}")
     sim.validate_for(cfg)
@@ -241,19 +238,29 @@ def _component_processes(cfg, sim):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=sim.seed, spawn_key=(stream,)))
         return _clarke_process(rng, sim.n_samples, sim.dt, cfg.f_doppler, sim.n_sinusoids)
 
-    return [(process(2 * j), process(2 * j + 1)) for j in (0, *range(2, cfg.n_ports + 1))]
+    return [process(2 * j + part) for j in (0, *range(2, cfg.n_ports + 1)) for part in (0, 1)]
 
 
 def _synthesize(processes, sim, first, stop):
-    """Block rows ``first`` to ``stop`` - 1 of every process, cut to ``sim.n_samples``."""
+    """Block rows ``first`` to ``stop`` - 1 of every process, cut to ``sim.n_samples``.
+
+    ``processes`` alternate x and y rows, as ``_component_processes`` gives
+    them.  The left factors [cos A, -sin A] of all processes are built in one
+    batch; each process then multiplies its own into its row of one buffer.
+    """
     block, _ = _block_layout(sim.n_samples)
+    omegas = np.array([p.omegas for p in processes])[:, None, :]
+    phases = np.array([p.phases for p in processes])[:, None, :]
+    # A = s_b w + phi of every process, shape (2N, blocks, M)
+    starts = (np.arange(first, stop) * processes[0].block_dt)[:, None] * omegas + phases
+    left = np.concatenate([np.cos(starts), -np.sin(starts)], axis=2)
+    out = np.empty((len(processes), stop - first, block))
+    for row, process in enumerate(processes):
+        np.matmul(left[row], process.right, out=out[row])
+    out = out.reshape(len(processes), -1)
+    out *= math.sqrt(1.0 / omegas.shape[2])
     size = min(stop * block, sim.n_samples) - first * block
-    x = np.empty((len(processes), size))
-    y = np.empty((len(processes), size))
-    for row, (px, py) in enumerate(processes):
-        x[row] = px.rows(first, stop)[:size]
-        y[row] = py.rows(first, stop)[:size]
-    return BaseProcesses(x=x, y=y, dt=sim.dt)
+    return BaseProcesses(x=out[0::2, :size], y=out[1::2, :size], dt=sim.dt)
 
 
 def generate_base_processes(cfg, sim):
@@ -262,15 +269,32 @@ def generate_base_processes(cfg, sim):
     return _synthesize(_component_processes(cfg, sim), sim, 0, n_blocks)
 
 
+def _magnitude(re, im, sigma):
+    """sigma sqrt(re^2 + im^2), computed in place: ``re`` and ``im`` are overwritten."""
+    re *= re
+    im *= im
+    re += im
+    np.sqrt(re, out=re)
+    re *= sigma
+    return re
+
+
 def assemble_port_envelopes(cfg, profile, base):
-    """Combine the base processes into the N per-port envelope series."""
+    """Combine the base processes into the N per-port envelope series.
+
+    Port k's envelope is sigma sqrt(re^2 + im^2) of its combined components.
+    The components are of order 1 (at most sqrt(M) in size), so the squares
+    cannot overflow, and they underflow only below a magnitude of about
+    1e-154, which no sampled fade reaches in practice: ``np.hypot``'s
+    rescaling has nothing to guard here and would only cost time.
+    """
     _check_port_count(cfg, profile)
     if base.x.shape[0] != cfg.n_ports:
         raise ConfigError(
             f"base processes carry {base.x.shape[0]} streams, expected {cfg.n_ports}"
         )
     sigma = cfg.sigma
-    env1 = sigma * np.hypot(base.x[0], base.y[0])
+    env1 = _magnitude(base.x[0].copy(), base.y[0].copy(), sigma)
     out = [EnvelopeSeries(samples=env1, dt=base.dt)]
     for k in range(2, cfg.n_ports + 1):
         mu = profile.mu[k - 1]
@@ -280,7 +304,7 @@ def assemble_port_envelopes(cfg, profile, base):
         root = math.sqrt(1.0 - mu * mu)
         re = root * base.x[k - 1] + mu * base.x[0]
         im = root * base.y[k - 1] + mu * base.y[0]
-        out.append(EnvelopeSeries(samples=sigma * np.hypot(re, im), dt=base.dt))
+        out.append(EnvelopeSeries(samples=_magnitude(re, im, sigma), dt=base.dt))
     return out
 
 

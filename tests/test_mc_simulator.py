@@ -16,6 +16,7 @@ from faslcr.mc_simulator import (
     LcrEstimate,
     SimParams,
     _clarke_process,
+    _synthesize,
     assemble_port_envelopes,
     count_crossings,
     estimate_lcr,
@@ -120,10 +121,23 @@ class TestBaseProcesses:
                                          cfg.f_doppler, n_sinusoids)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
+    def test_every_row_matches_direct_sum(self):
+        # each x and y row is its own stream: x_0, y_0 are 0, 1 and x_k, y_k are 2k, 2k+1
+        cfg = FasConfig(3, 0.3)
+        sim = SimParams(sample_rate=64.0, duration=100.2, seed=13)
+        base = generate_base_processes(cfg, sim)
+        rows = [base.x[0], base.y[0], base.x[1], base.y[1], base.x[2], base.y[2]]
+        for stream, got in zip((0, 1, 4, 5, 6, 7), rows):
+            want = clarke_process_direct(_stream_rng(sim.seed, stream), sim.n_samples, sim.dt,
+                                         cfg.f_doppler, sim.n_sinusoids)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
     @pytest.mark.parametrize("n_sinusoids", [8, 64])
     def test_two_samples_match_direct_sum(self, n_sinusoids):
         # below the simulator's 1600-sample floor: one-sample blocks
-        got = _clarke_process(_stream_rng(3, 0), 2, 1.0 / 64.0, 1.0, n_sinusoids).rows(0, 2)
+        sim = SimParams(sample_rate=64.0, duration=2.0 / 64.0, n_sinusoids=n_sinusoids, seed=3)
+        pair = [_clarke_process(_stream_rng(3, s), 2, sim.dt, 1.0, n_sinusoids) for s in (0, 1)]
+        got = _synthesize(pair, sim, 0, 2).x[0]
         want = clarke_process_direct(_stream_rng(3, 0), 2, 1.0 / 64.0, 1.0, n_sinusoids)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
@@ -163,6 +177,21 @@ class TestAssemble:
         )
         assert abs(corr.real - mu2) < 0.03
         assert abs(corr.imag) < 0.03
+
+    def test_magnitude_within_rounding_of_hypot(self):
+        # sqrt(re^2 + im^2) stands in for hypot; they may differ by rounding only (2 ulp)
+        cfg = FasConfig(4, 0.3, sigma2=2.0)
+        sim = SimParams.from_cycles(cfg, duration_cycles=500, seed=777)
+        base = generate_base_processes(cfg, sim)
+        prof = correlation_profile(cfg)
+        ports = assemble_port_envelopes(cfg, prof, base)
+        for k, port in enumerate(ports):
+            mu = prof.mu[k]
+            root = math.sqrt(1.0 - mu * mu)
+            re = root * base.x[k] + mu * base.x[0] if k else base.x[0]
+            im = root * base.y[k] + mu * base.y[0] if k else base.y[0]
+            np.testing.assert_allclose(port.samples, cfg.sigma * np.hypot(re, im),
+                                       rtol=4.5e-16, atol=0.0)
 
     def test_shape_mismatch_rejected(self, base_run):
         cfg, sim, base = base_run
