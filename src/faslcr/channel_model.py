@@ -50,7 +50,8 @@ class FasConfig:
     f_doppler: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.n_ports, (int, np.integer)) and self.n_ports >= 1):
+        if not (isinstance(self.n_ports, (int, np.integer)) and not isinstance(self.n_ports, bool)
+                and self.n_ports >= 1):
             raise ConfigError(f"n_ports must be an integer >= 1, got {self.n_ports!r}")
         for name in ("aperture", "sigma2", "f_doppler"):
             v = getattr(self, name)

@@ -81,7 +81,7 @@ class SweepSpec:
             if not (math.isfinite(x) and x > 0.0):
                 raise ConfigError(f"thresholds must be finite and > 0, got {x!r}")
         for n in self.n_list:
-            if not (isinstance(n, int) and n >= 1):
+            if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
                 raise ConfigError(f"n_list entries must be integers >= 1, got {n!r}")
         for w in self.w_list:
             if not (math.isfinite(w) and w >= 0.0):

@@ -21,15 +21,25 @@ into blocks of B = isqrt(n) samples starting at s_b = b B dt, and
     cos(w_m (s_b + k dt) + phi_m) = cos(A_bm) cos(w_m k dt) - sin(A_bm) sin(w_m k dt)
 
 with A_bm = w_m s_b + phi_m, so block b is row b of
-[cos A, -sin A] @ [cos(w k dt); sin(w k dt)], an (n/B x 2M) @ (2M x B)
-product whose rows are laid end to end and cut to n samples.  That takes
-about 2M(n/B + B) cosines and sines plus 2M n multiply-adds, where the
-direct sum takes M n cosines, and it agrees with the direct sum to rounding
-(about 1e-11 at 640k samples).  Each process keeps only its (2M x B) right
-factor; any range of block rows is evaluated from it on demand.  The left
-factors of all 2N processes are built per range in one batch: one cos and one
-sin over the (2N x blocks x M) array of A, after which each process's product
-goes straight into its row of one buffer.
+[cos A, sin A] @ [cos(w k dt); -sin(w k dt)], an (n/B x 2M) @ (2M x B)
+product whose rows are laid end to end and cut to n samples.  Neither factor
+takes a cosine per element: both are tables exp(i w k step) built by
+two-level angle addition.  With k = q g + r and g = isqrt(count),
+
+    exp(i w k step) = exp(i w q g step) exp(i w r step),
+
+so a fine table of g rows and the coarse rows q in use are joined by one
+complex multiply per element.  That takes about 4M(sqrt(B) + sqrt(n/B))
+cosines and sines, as complex exponentials, plus 2M n multiply-adds, where
+the direct sum takes M n cosines, and it agrees with the direct sum to
+rounding (about 1e-11 at 640k samples).  Each process keeps its (2M x B)
+right factor (steps of dt, k < B) and the fine table of its left factor
+(steps of B dt, with phi_m folded in); any range of block rows is evaluated
+from them on demand.  The left factors of all 2N processes are built per
+range in one batch, from the coarse rows that range touches, after which
+each process's product goes straight into its row of one buffer.  A row
+depends only on its block index, so a streamed run synthesizes the same bits
+as the whole series.
 
 ``estimate_lcr`` streams: it walks the block rows in chunks of about
 _CHUNK_SAMPLES samples, and synthesizes, assembles, selects and counts one
@@ -89,7 +99,8 @@ class SimParams:
             raise ConfigError(f"duration must be > 0, got {self.duration!r}")
         if not (isinstance(self.n_sinusoids, int) and self.n_sinusoids >= 8):
             raise ConfigError(f"n_sinusoids must be an integer >= 8, got {self.n_sinusoids!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
+        if not (isinstance(self.seed, int) and not isinstance(self.seed, bool)
+                and 0 <= self.seed < 2 ** 64):
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
     @classmethod
@@ -195,17 +206,38 @@ def _block_layout(n_samples):
     return block, -(-n_samples // block)
 
 
+def _angle_rows(omegas, step, fine, first, stop):
+    """Rows k = first..stop-1 of exp(i (w k step + phi)), by two-level angle addition.
+
+    ``fine`` is the (g x M) table exp(i (w r step + phi)), r < g, of each
+    process; leading axes of ``omegas`` (..., M) and ``fine`` (..., g, M)
+    batch processes.  With k = q g + r, row k is exp(i w q g step) * fine[r]:
+    only the coarse rows q that the range touches are evaluated, and each
+    row depends on k alone, not on ``first`` and ``stop``.
+    """
+    g = fine.shape[-2]
+    q0 = first // g
+    coarse_steps = np.arange(q0, (stop - 1) // g + 1) * (g * step)
+    coarse = np.exp(1j * (coarse_steps[:, None] * omegas[..., None, :]))
+    rows = coarse[..., :, None, :] * fine[..., None, :, :]
+    rows = rows.reshape(*rows.shape[:-3], -1, rows.shape[-1])
+    return rows[..., first - q0 * g:stop - q0 * g, :]
+
+
 @dataclass(frozen=True, eq=False)
 class _ClarkeProcess:
     """The per-process part of one blocked Clarke sum (see the module docstring).
 
-    ``block_dt`` is the time B dt between block starts and ``right`` the
-    (2M x B) factor [cos(w k dt); sin(w k dt)] shared by every block.
+    ``block_dt`` is the time B dt between block starts, ``fine`` the
+    (g x M) table exp(i (w r B dt + phi)), r < g = isqrt(blocks), from which
+    ``_angle_rows`` builds the left factors, and ``right`` the (2M x B)
+    factor whose rows 2m and 2m+1 are cos(w_m k dt) and -sin(w_m k dt),
+    scaled by 1/sqrt(M).
     """
 
     omegas: np.ndarray
-    phases: np.ndarray
     block_dt: float
+    fine: np.ndarray
     right: np.ndarray
 
 
@@ -222,17 +254,27 @@ def _clarke_process(rng, n_samples, dt, f_doppler, n_sinusoids):
     idx = np.arange(1, n_sinusoids + 1)
     angles = (2.0 * math.pi * idx - math.pi + theta) / (4.0 * n_sinusoids)
     omegas = 2.0 * math.pi * f_doppler * np.cos(angles)
-    block, _ = _block_layout(n_samples)
-    steps = np.outer(omegas, np.arange(block) * dt)
-    right = np.vstack([np.cos(steps), np.sin(steps)])
-    return _ClarkeProcess(omegas, phases, block * dt, right)
+
+    def fine(step, count, phase=0.0):
+        return np.exp(1j * ((np.arange(math.isqrt(count)) * step)[:, None] * omegas + phase))
+
+    block, n_blocks = _block_layout(n_samples)
+    # steps of -dt give exp(-i w k dt), whose float view interleaves cos and -sin
+    rows = _angle_rows(omegas, -dt, fine(-dt, block), 0, block)
+    right = np.ascontiguousarray(rows.view(np.float64).T)
+    right *= math.sqrt(1.0 / n_sinusoids)
+    return _ClarkeProcess(omegas, block * dt, fine(block * dt, n_blocks, phases), right)
+
+
+def _check_run(cfg, sim):
+    """Reject a config that is not a FasConfig, and sim parameters unfit for it."""
+    if not isinstance(cfg, FasConfig):
+        raise ConfigError(f"expected FasConfig, got {type(cfg).__name__}")
+    sim.validate_for(cfg)
 
 
 def _component_processes(cfg, sim):
     """The 2N component processes in stream order: x_0, y_0, x_2, y_2, ..., x_N, y_N."""
-    if not isinstance(cfg, FasConfig):
-        raise ConfigError(f"expected FasConfig, got {type(cfg).__name__}")
-    sim.validate_for(cfg)
 
     def process(stream):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=sim.seed, spawn_key=(stream,)))
@@ -245,26 +287,29 @@ def _synthesize(processes, sim, first, stop):
     """Block rows ``first`` to ``stop`` - 1 of every process, cut to ``sim.n_samples``.
 
     ``processes`` alternate x and y rows, as ``_component_processes`` gives
-    them.  The left factors [cos A, -sin A] of all processes are built in one
-    batch; each process then multiplies its own into its row of one buffer.
+    them.  The left factors of all processes are built in one batch, as the
+    complex rows exp(i A) whose float view interleaves cos A and sin A; each
+    process then multiplies its own into its row of one buffer.  At least two
+    rows are multiplied: numpy hands a single row to BLAS's gemv, whose
+    rounding differs from gemm's, and every row must come out the same
+    whichever range it is synthesized in.
     """
     block, _ = _block_layout(sim.n_samples)
-    omegas = np.array([p.omegas for p in processes])[:, None, :]
-    phases = np.array([p.phases for p in processes])[:, None, :]
-    # A = s_b w + phi of every process, shape (2N, blocks, M)
-    starts = (np.arange(first, stop) * processes[0].block_dt)[:, None] * omegas + phases
-    left = np.concatenate([np.cos(starts), -np.sin(starts)], axis=2)
-    out = np.empty((len(processes), stop - first, block))
+    n_rows = max(stop - first, 2)
+    omegas = np.array([p.omegas for p in processes])
+    fine = np.array([p.fine for p in processes])
+    left = _angle_rows(omegas, processes[0].block_dt, fine, first, first + n_rows).view(np.float64)
+    out = np.empty((len(processes), n_rows, block))
     for row, process in enumerate(processes):
         np.matmul(left[row], process.right, out=out[row])
     out = out.reshape(len(processes), -1)
-    out *= math.sqrt(1.0 / omegas.shape[2])
     size = min(stop * block, sim.n_samples) - first * block
     return BaseProcesses(x=out[0::2, :size], y=out[1::2, :size], dt=sim.dt)
 
 
 def generate_base_processes(cfg, sim):
     """Synthesize the 2N independent component processes for ``cfg``, whole."""
+    _check_run(cfg, sim)
     _, n_blocks = _block_layout(sim.n_samples)
     return _synthesize(_component_processes(cfg, sim), sim, 0, n_blocks)
 
@@ -345,7 +390,8 @@ def estimate_lcr(cfg, sim, thresholds):
     """Full pipeline: synthesize, assemble, select and count at each threshold.
 
     Deterministic for a fixed (cfg, sim, thresholds): the whole run derives
-    from the root seed.  The thresholds are validated before any synthesis.
+    from the root seed.  The thresholds, ``cfg`` and ``sim`` are validated
+    before any synthesis, and an empty threshold list returns [] unsynthesized.
     The run streams over chunks of whole blocks of about _CHUNK_SAMPLES
     samples: each chunk is synthesized, assembled into port envelopes,
     selected and counted, and the last selected sample is carried into the
@@ -354,6 +400,9 @@ def estimate_lcr(cfg, sim, thresholds):
     ``sim.duration``.
     """
     thresholds = [_validate_threshold(x) for x in thresholds]
+    _check_run(cfg, sim)
+    if not thresholds:
+        return []
     profile = correlation_profile(cfg)
     processes = _component_processes(cfg, sim)
     block, n_blocks = _block_layout(sim.n_samples)

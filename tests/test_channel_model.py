@@ -35,6 +35,7 @@ class TestFasConfig:
         {"n_ports": 2, "aperture": 0.1, "sigma2": 0.0},
         {"n_ports": 2, "aperture": 0.1, "sigma2": -1.0},
         {"n_ports": 2, "aperture": 0.1, "f_doppler": 0.0},
+        {"n_ports": True, "aperture": 0.1},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):

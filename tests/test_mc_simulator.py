@@ -15,7 +15,10 @@ from faslcr.mc_simulator import (
     EnvelopeSeries,
     LcrEstimate,
     SimParams,
+    _angle_rows,
+    _block_layout,
     _clarke_process,
+    _component_processes,
     _synthesize,
     assemble_port_envelopes,
     count_crossings,
@@ -56,6 +59,7 @@ class TestSimParams:
         {"sample_rate": 64.0, "duration": 10.0, "n_sinusoids": 4},
         {"sample_rate": 64.0, "duration": 10.0, "seed": -1},
         {"sample_rate": 64.0, "duration": 10.0, "seed": 2 ** 64},
+        {"sample_rate": 64.0, "duration": 10.0, "seed": True},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
@@ -140,6 +144,49 @@ class TestBaseProcesses:
         got = _synthesize(pair, sim, 0, 2).x[0]
         want = clarke_process_direct(_stream_rng(3, 0), 2, 1.0 / 64.0, 1.0, n_sinusoids)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+    def test_block_ranges_match_whole_series(self, monkeypatch):
+        # a block row's bits depend on its index alone, not on the range it is
+        # synthesized in: ranges cut across the angle-addition groups of g rows
+        cfg = FasConfig(3, 0.3)
+        sim = SimParams(sample_rate=64.0, duration=4100.7, seed=61)   # ragged last block
+        block, n_blocks = _block_layout(sim.n_samples)
+        g = math.isqrt(n_blocks)
+        assert n_blocks % g and sim.n_samples % block
+        chunks = []
+        synthesize = mc_simulator._synthesize
+
+        def recorded(processes, sim, first, stop):
+            chunks.append((first, stop))
+            return synthesize(processes, sim, first, stop)
+
+        monkeypatch.setattr(mc_simulator, "_synthesize", recorded)
+        estimate_lcr(cfg, sim, [1.0])
+        assert len(chunks) > 1
+        whole = generate_base_processes(cfg, sim)
+        processes = _component_processes(cfg, sim)
+        for first, stop in [(0, 1), (g - 1, g + 1), (n_blocks - 3, n_blocks), *chunks]:
+            part = synthesize(processes, sim, first, stop)
+            cut = slice(first * block, min(stop * block, sim.n_samples))
+            assert np.array_equal(part.x, whole.x[:, cut])
+            assert np.array_equal(part.y, whole.y[:, cut])
+
+    def test_angle_rows_within_argument_rounding(self):
+        # 1e5 cycles: block starts reach |A| = 6.3e5 rad, where forming A itself
+        # rounds by |A| eps / 2; allow 4 |A| eps per element (1.7 measured)
+        sim = SimParams(sample_rate=64.0, duration=1e5, seed=17)
+        _, n_blocks = _block_layout(sim.n_samples)
+        for stream in (0, 1):
+            process = _clarke_process(_stream_rng(sim.seed, stream), sim.n_samples, sim.dt, 1.0, 64)
+            rng = _stream_rng(sim.seed, stream)
+            rng.uniform(0.0, 2.0 * math.pi)
+            phases = rng.uniform(0.0, 2.0 * math.pi, 64)
+            got = _angle_rows(process.omegas, process.block_dt, process.fine, 0, n_blocks)
+            arg = (np.arange(n_blocks) * process.block_dt)[:, None] * process.omegas + phases
+            assert np.abs(arg).max() > 6e5
+            bound = 4.0 * np.maximum(np.abs(arg), 1.0) * np.finfo(float).eps
+            assert np.all(np.abs(got.real - np.cos(arg)) <= bound)
+            assert np.all(np.abs(got.imag - np.sin(arg)) <= bound)
 
 
 class TestAssemble:
@@ -340,6 +387,18 @@ class TestEstimateLcr:
         cfg = FasConfig(2, 0.3)
         with pytest.raises(DomainError):
             estimate_lcr(cfg, SimParams.from_cycles(cfg, 1e3), [0.5, bad])
+
+    def test_no_thresholds_skip_synthesis(self, monkeypatch):
+        def no_synthesis(*args):
+            raise AssertionError("synthesis ran for an empty threshold list")
+
+        monkeypatch.setattr(mc_simulator, "_clarke_process", no_synthesis)
+        cfg = FasConfig(2, 0.3)
+        assert estimate_lcr(cfg, SimParams.from_cycles(cfg, 1e3), []) == []
+        with pytest.raises(ConfigError):    # below the 100-cycle floor
+            estimate_lcr(cfg, SimParams.from_cycles(cfg, 10.0), [])
+        with pytest.raises(ConfigError):
+            estimate_lcr("not a config", SimParams.from_cycles(cfg, 1e3), [])
 
     def test_memory_bounded_by_the_chunk(self):
         # the whole-series pipeline peaked at 83.7 MiB here (4.9 MiB a row)
