@@ -102,9 +102,15 @@ class CorrelationProfile:
         ]
 
 
+def _is_finite_number(v):
+    """True when ``v`` is a finite real number that is not a bool."""
+    return (isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
 def _validate_threshold(x_th):
     """The threshold as a float; DomainError unless it is a finite number > 0."""
-    if not (isinstance(x_th, (int, float, np.floating)) and math.isfinite(x_th) and x_th > 0.0):
+    if not (_is_finite_number(x_th) and x_th > 0.0):
         raise DomainError(f"threshold must be finite and > 0, got {x_th!r}")
     return float(x_th)
 

@@ -22,7 +22,7 @@ from typing import Optional, get_args
 
 import numpy as np
 
-from .channel_model import FasConfig, correlation_profile
+from .channel_model import FasConfig, _is_finite_number, _validate_threshold, correlation_profile
 from .errors import AccuracyError, ConfigError, DomainError, FasLcrError, SingularityError
 from .lcr_analytic import lcr_identical, lcr_iid, lcr_theorem1, lcr_two_port_series
 from .mc_simulator import SimParams, estimate_lcr
@@ -78,13 +78,15 @@ class SweepSpec:
         if "monte_carlo" in self.methods and self.sim is None:
             raise ConfigError("monte_carlo requires sim parameters")
         for x in self.thresholds:
-            if not (math.isfinite(x) and x > 0.0):
-                raise ConfigError(f"thresholds must be finite and > 0, got {x!r}")
+            try:
+                _validate_threshold(x)
+            except DomainError as exc:
+                raise ConfigError(f"thresholds grid: {exc}") from exc
         for n in self.n_list:
             if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
                 raise ConfigError(f"n_list entries must be integers >= 1, got {n!r}")
         for w in self.w_list:
-            if not (math.isfinite(w) and w >= 0.0):
+            if not (_is_finite_number(w) and w >= 0.0):
                 raise ConfigError(f"w_list entries must be finite and >= 0, got {w!r}")
 
 

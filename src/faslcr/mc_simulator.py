@@ -32,14 +32,14 @@ so a fine table of g rows and the coarse rows q in use are joined by one
 complex multiply per element.  That takes about 4M(sqrt(B) + sqrt(n/B))
 cosines and sines, as complex exponentials, plus 2M n multiply-adds, where
 the direct sum takes M n cosines, and it agrees with the direct sum to
-rounding (about 1e-11 at 640k samples).  Each process keeps its (2M x B)
-right factor (steps of dt, k < B) and the fine table of its left factor
-(steps of B dt, with phi_m folded in); any range of block rows is evaluated
-from them on demand.  The left factors of all 2N processes are built per
-range in one batch, from the coarse rows that range touches, after which
-each process's product goes straight into its row of one buffer.  A row
-depends only on its block index, so a streamed run synthesizes the same bits
-as the whole series.
+rounding (about 1e-11 at 640k samples).  The 2N processes are held as one
+stacked bank of their (2M x B) right factors (steps of dt, k < B) and the
+fine tables of their left factors (steps of B dt, with phi_m folded in); any
+range of block rows is evaluated from it on demand.  The left factors of all
+2N processes are built per range in one batch, from the coarse rows that
+range touches, and multiplied by the right factors in one stacked product.
+A row depends only on its block index, so a streamed run synthesizes the
+same bits as the whole series.
 
 ``estimate_lcr`` streams: it walks the block rows in chunks of about
 _CHUNK_SAMPLES samples, and synthesizes, assembles, selects and counts one
@@ -61,7 +61,8 @@ from typing import Optional
 import numpy as np
 
 from .channel_model import (
-    IDENTICAL_CHANNEL_CUTOFF, FasConfig, _check_port_count, _validate_threshold, correlation_profile,
+    IDENTICAL_CHANNEL_CUTOFF, FasConfig, _check_port_count, _is_finite_number, _validate_threshold,
+    correlation_profile,
 )
 from .errors import ConfigError
 
@@ -93,10 +94,10 @@ class SimParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0.0):
-            raise ConfigError(f"sample_rate must be > 0, got {self.sample_rate!r}")
-        if not (math.isfinite(self.duration) and self.duration > 0.0):
-            raise ConfigError(f"duration must be > 0, got {self.duration!r}")
+        if not (_is_finite_number(self.sample_rate) and self.sample_rate > 0.0):
+            raise ConfigError(f"sample_rate must be a finite number > 0, got {self.sample_rate!r}")
+        if not (_is_finite_number(self.duration) and self.duration > 0.0):
+            raise ConfigError(f"duration must be a finite number > 0, got {self.duration!r}")
         if not (isinstance(self.n_sinusoids, int) and self.n_sinusoids >= 8):
             raise ConfigError(f"n_sinusoids must be an integer >= 8, got {self.n_sinusoids!r}")
         if not (isinstance(self.seed, int) and not isinstance(self.seed, bool)
@@ -194,6 +195,8 @@ class LcrEstimate:
 
 def _estimate(threshold, crossings, duration, f_doppler):
     """The LcrEstimate of ``crossings`` in ``duration``; nlcr is None without f_doppler."""
+    if f_doppler is not None and not (_is_finite_number(f_doppler) and f_doppler > 0.0):
+        raise ConfigError(f"f_doppler must be None or a finite number > 0, got {f_doppler!r}")
     rate = crossings / duration
     nlcr = rate / f_doppler if f_doppler is not None else None
     return LcrEstimate(threshold=threshold, rate=rate, nlcr=nlcr,
@@ -225,45 +228,21 @@ def _angle_rows(omegas, step, fine, first, stop):
 
 
 @dataclass(frozen=True, eq=False)
-class _ClarkeProcess:
-    """The per-process part of one blocked Clarke sum (see the module docstring).
+class _ProcessBank:
+    """The 2N blocked Clarke sums of one run, stacked in stream order.
 
-    ``block_dt`` is the time B dt between block starts, ``fine`` the
-    (g x M) table exp(i (w r B dt + phi)), r < g = isqrt(blocks), from which
-    ``_angle_rows`` builds the left factors, and ``right`` the (2M x B)
+    Row p of each array belongs to process p (see the module docstring):
+    ``omegas`` (2N x M) holds its Doppler frequencies, ``fine`` (2N x g x M)
+    the table exp(i (w r B dt + phi)), r < g = isqrt(blocks), from which
+    ``_angle_rows`` builds the left factors, and ``right`` (2N x 2M x B) the
     factor whose rows 2m and 2m+1 are cos(w_m k dt) and -sin(w_m k dt),
-    scaled by 1/sqrt(M).
+    scaled by 1/sqrt(M).  ``block_dt`` is the time B dt between block starts.
     """
 
     omegas: np.ndarray
     block_dt: float
     fine: np.ndarray
     right: np.ndarray
-
-
-def _clarke_process(rng, n_samples, dt, f_doppler, n_sinusoids):
-    """One Gaussian process with variance 1/2 and Clarke Doppler spectrum.
-
-    Arrival angles are a uniform quadrant grid rotated by a single random
-    offset (distinct discrete frequencies); phases are i.i.d. uniform.  The
-    blocks are B = isqrt(n_samples) samples long, so the last block row runs
-    past ``n_samples`` unless B divides it; callers cut it.
-    """
-    theta = rng.uniform(0.0, 2.0 * math.pi)
-    phases = rng.uniform(0.0, 2.0 * math.pi, n_sinusoids)
-    idx = np.arange(1, n_sinusoids + 1)
-    angles = (2.0 * math.pi * idx - math.pi + theta) / (4.0 * n_sinusoids)
-    omegas = 2.0 * math.pi * f_doppler * np.cos(angles)
-
-    def fine(step, count, phase=0.0):
-        return np.exp(1j * ((np.arange(math.isqrt(count)) * step)[:, None] * omegas + phase))
-
-    block, n_blocks = _block_layout(n_samples)
-    # steps of -dt give exp(-i w k dt), whose float view interleaves cos and -sin
-    rows = _angle_rows(omegas, -dt, fine(-dt, block), 0, block)
-    right = np.ascontiguousarray(rows.view(np.float64).T)
-    right *= math.sqrt(1.0 / n_sinusoids)
-    return _ClarkeProcess(omegas, block * dt, fine(block * dt, n_blocks, phases), right)
 
 
 def _check_run(cfg, sim):
@@ -274,35 +253,55 @@ def _check_run(cfg, sim):
 
 
 def _component_processes(cfg, sim):
-    """The 2N component processes in stream order: x_0, y_0, x_2, y_2, ..., x_N, y_N."""
+    """The bank of 2N processes with variance 1/2 and Clarke Doppler spectrum.
 
-    def process(stream):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=sim.seed, spawn_key=(stream,)))
-        return _clarke_process(rng, sim.n_samples, sim.dt, cfg.f_doppler, sim.n_sinusoids)
+    Streams come in the order x_0, y_0, x_2, y_2, ..., x_N, y_N; each draws
+    a rotation theta and then its phases from its own seed sequence.  The
+    arrival angles are a uniform quadrant grid rotated by theta (distinct
+    discrete frequencies); the phases are i.i.d. uniform.  The blocks are
+    B = isqrt(n_samples) samples long, so the last block row runs past
+    ``n_samples`` unless B divides it; callers cut it.
+    """
+    m = sim.n_sinusoids
+    rngs = [np.random.default_rng(np.random.SeedSequence(sim.seed, spawn_key=(2 * j + part,)))
+            for j in (0, *range(2, cfg.n_ports + 1)) for part in (0, 1)]
+    theta = np.array([[rng.uniform(0.0, 2.0 * math.pi)] for rng in rngs])
+    phases = np.array([[rng.uniform(0.0, 2.0 * math.pi, m)] for rng in rngs])
+    angles = (2.0 * math.pi * np.arange(1, m + 1) - math.pi + theta) / (4.0 * m)
+    omegas = 2.0 * math.pi * cfg.f_doppler * np.cos(angles)
 
-    return [process(2 * j + part) for j in (0, *range(2, cfg.n_ports + 1)) for part in (0, 1)]
+    def fine(step, count, phase=0.0):
+        steps = np.arange(math.isqrt(count)) * step
+        return np.exp(1j * (steps[:, None] * omegas[:, None, :] + phase))
+
+    block, n_blocks = _block_layout(sim.n_samples)
+    # Steps of -dt give exp(-i w k dt), whose float view interleaves cos and
+    # -sin.  The factors are filled one at a time, as a complex copy of all
+    # of them at once would double the bank's peak memory; they are stored
+    # (2M x B) contiguous, as gemm on a transposed view rounds differently.
+    right_fine = fine(-sim.dt, block)
+    right = np.empty((len(rngs), 2 * m, block))
+    for p in range(len(rngs)):
+        right[p] = _angle_rows(omegas[p], -sim.dt, right_fine[p], 0, block).view(np.float64).T
+    right *= math.sqrt(1.0 / m)
+    return _ProcessBank(omegas, block * sim.dt, fine(block * sim.dt, n_blocks, phases), right)
 
 
-def _synthesize(processes, sim, first, stop):
+def _synthesize(bank, sim, first, stop):
     """Block rows ``first`` to ``stop`` - 1 of every process, cut to ``sim.n_samples``.
 
-    ``processes`` alternate x and y rows, as ``_component_processes`` gives
-    them.  The left factors of all processes are built in one batch, as the
-    complex rows exp(i A) whose float view interleaves cos A and sin A; each
-    process then multiplies its own into its row of one buffer.  At least two
-    rows are multiplied: numpy hands a single row to BLAS's gemv, whose
-    rounding differs from gemm's, and every row must come out the same
-    whichever range it is synthesized in.
+    The bank's rows alternate x and y, as ``_component_processes`` stacks
+    them.  The left factors are built in one batch, as the complex rows
+    exp(i A) whose float view interleaves cos A and sin A, and multiplied by
+    the right factors in one stacked product.  At least two rows are
+    multiplied: numpy hands a single row to BLAS's gemv, whose rounding
+    differs from gemm's, and every row must come out the same whichever
+    range it is synthesized in.
     """
     block, _ = _block_layout(sim.n_samples)
     n_rows = max(stop - first, 2)
-    omegas = np.array([p.omegas for p in processes])
-    fine = np.array([p.fine for p in processes])
-    left = _angle_rows(omegas, processes[0].block_dt, fine, first, first + n_rows).view(np.float64)
-    out = np.empty((len(processes), n_rows, block))
-    for row, process in enumerate(processes):
-        np.matmul(left[row], process.right, out=out[row])
-    out = out.reshape(len(processes), -1)
+    left = _angle_rows(bank.omegas, bank.block_dt, bank.fine, first, first + n_rows)
+    out = np.matmul(left.view(np.float64), bank.right).reshape(len(bank.right), -1)
     size = min(stop * block, sim.n_samples) - first * block
     return BaseProcesses(x=out[0::2, :size], y=out[1::2, :size], dt=sim.dt)
 
@@ -404,7 +403,7 @@ def estimate_lcr(cfg, sim, thresholds):
     if not thresholds:
         return []
     profile = correlation_profile(cfg)
-    processes = _component_processes(cfg, sim)
+    bank = _component_processes(cfg, sim)
     block, n_blocks = _block_layout(sim.n_samples)
     chunk_blocks = max(2, _CHUNK_SAMPLES // block)
     n_chunks = -(-n_blocks // chunk_blocks)
@@ -414,7 +413,7 @@ def estimate_lcr(cfg, sim, thresholds):
     crossings = [0] * len(thresholds)
     last = None
     for first, stop in zip(bounds, bounds[1:]):
-        base = _synthesize(processes, sim, first, stop)
+        base = _synthesize(bank, sim, first, stop)
         ports = assemble_port_envelopes(cfg, profile, base)
         del base
         selected = fas_select(ports)

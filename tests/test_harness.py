@@ -66,6 +66,9 @@ class TestSweepSpec:
         dict(thresholds=(1.0,), n_list=(2,), w_list=(-0.1,), methods=("iid",)),
         dict(thresholds=(1.0,), n_list=(2,), w_list=(0.1,), methods=("iid", "iid")),
         dict(thresholds=(1.0,), n_list=(True,), w_list=(0.1,), methods=("iid",)),
+        dict(thresholds=("1.0",), n_list=(2,), w_list=(0.1,), methods=("iid",)),
+        dict(thresholds=(True,), n_list=(2,), w_list=(0.1,), methods=("iid",)),
+        dict(thresholds=(1.0,), n_list=(2,), w_list=(None,), methods=("iid",)),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):

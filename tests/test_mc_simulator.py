@@ -17,7 +17,6 @@ from faslcr.mc_simulator import (
     SimParams,
     _angle_rows,
     _block_layout,
-    _clarke_process,
     _component_processes,
     _synthesize,
     assemble_port_envelopes,
@@ -60,6 +59,9 @@ class TestSimParams:
         {"sample_rate": 64.0, "duration": 10.0, "seed": -1},
         {"sample_rate": 64.0, "duration": 10.0, "seed": 2 ** 64},
         {"sample_rate": 64.0, "duration": 10.0, "seed": True},
+        {"sample_rate": "64", "duration": 10.0},
+        {"sample_rate": 64.0, "duration": "10"},
+        {"sample_rate": True, "duration": 10.0},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
@@ -140,7 +142,7 @@ class TestBaseProcesses:
     def test_two_samples_match_direct_sum(self, n_sinusoids):
         # below the simulator's 1600-sample floor: one-sample blocks
         sim = SimParams(sample_rate=64.0, duration=2.0 / 64.0, n_sinusoids=n_sinusoids, seed=3)
-        pair = [_clarke_process(_stream_rng(3, s), 2, sim.dt, 1.0, n_sinusoids) for s in (0, 1)]
+        pair = _component_processes(FasConfig(1, 0.0), sim)
         got = _synthesize(pair, sim, 0, 2).x[0]
         want = clarke_process_direct(_stream_rng(3, 0), 2, 1.0 / 64.0, 1.0, n_sinusoids)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
@@ -156,17 +158,17 @@ class TestBaseProcesses:
         chunks = []
         synthesize = mc_simulator._synthesize
 
-        def recorded(processes, sim, first, stop):
+        def recorded(bank, sim, first, stop):
             chunks.append((first, stop))
-            return synthesize(processes, sim, first, stop)
+            return synthesize(bank, sim, first, stop)
 
         monkeypatch.setattr(mc_simulator, "_synthesize", recorded)
         estimate_lcr(cfg, sim, [1.0])
         assert len(chunks) > 1
         whole = generate_base_processes(cfg, sim)
-        processes = _component_processes(cfg, sim)
+        bank = _component_processes(cfg, sim)
         for first, stop in [(0, 1), (g - 1, g + 1), (n_blocks - 3, n_blocks), *chunks]:
-            part = synthesize(processes, sim, first, stop)
+            part = synthesize(bank, sim, first, stop)
             cut = slice(first * block, min(stop * block, sim.n_samples))
             assert np.array_equal(part.x, whole.x[:, cut])
             assert np.array_equal(part.y, whole.y[:, cut])
@@ -176,17 +178,32 @@ class TestBaseProcesses:
         # rounds by |A| eps / 2; allow 4 |A| eps per element (1.7 measured)
         sim = SimParams(sample_rate=64.0, duration=1e5, seed=17)
         _, n_blocks = _block_layout(sim.n_samples)
+        bank = _component_processes(FasConfig(1, 0.0), sim)
         for stream in (0, 1):
-            process = _clarke_process(_stream_rng(sim.seed, stream), sim.n_samples, sim.dt, 1.0, 64)
+            omegas = bank.omegas[stream]
             rng = _stream_rng(sim.seed, stream)
             rng.uniform(0.0, 2.0 * math.pi)
             phases = rng.uniform(0.0, 2.0 * math.pi, 64)
-            got = _angle_rows(process.omegas, process.block_dt, process.fine, 0, n_blocks)
-            arg = (np.arange(n_blocks) * process.block_dt)[:, None] * process.omegas + phases
+            got = _angle_rows(omegas, bank.block_dt, bank.fine[stream], 0, n_blocks)
+            arg = (np.arange(n_blocks) * bank.block_dt)[:, None] * omegas + phases
             assert np.abs(arg).max() > 6e5
             bound = 4.0 * np.maximum(np.abs(arg), 1.0) * np.finfo(float).eps
             assert np.all(np.abs(got.real - np.cos(arg)) <= bound)
             assert np.all(np.abs(got.imag - np.sin(arg)) <= bound)
+
+    def test_bank_peak_memory_is_its_right_factors(self):
+        # the peak is the right factors plus one process's temporaries (1.20
+        # measured); filling them from one complex copy of all of them at once
+        # reads 2.07
+        cfg = FasConfig(4, 0.3)
+        sim = SimParams.from_cycles(cfg, duration_cycles=1e5, seed=1)
+        tracemalloc.start()
+        try:
+            bank = _component_processes(cfg, sim)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * bank.right.nbytes
 
 
 class TestAssemble:
@@ -322,6 +339,14 @@ class TestCountCrossings:
         est2 = count_crossings(EnvelopeSeries(np.array([2.0, 0.0, 2.0]), 0.5), 1.0)
         assert est2.nlcr is None
 
+    @pytest.mark.parametrize("bad", [0, 0.0, -1.0, math.nan, math.inf, True, "4.0"])
+    def test_bad_doppler_rejected(self, bad):
+        series = EnvelopeSeries(np.array([2.0, 0.0, 2.0]), 0.5)
+        with pytest.raises(ConfigError):
+            count_crossings(series, 1.0, bad)
+        with pytest.raises(ConfigError):
+            merge_estimates([count_crossings(series, 1.0)], f_doppler=bad)
+
     def test_errors(self):
         with pytest.raises(ConfigError):
             EnvelopeSeries(np.array([1.0]), 1.0)
@@ -378,12 +403,12 @@ class TestEstimateLcr:
         assert (n < mc_simulator._CHUNK_SAMPLES) == (duration == 200.0)
         assert (n % mc_simulator._CHUNK_SAMPLES == 0) == (duration == 4096.0)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, "1.0", None])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, "1.0", None, True])
     def test_thresholds_validated_before_synthesis(self, bad, monkeypatch):
         def no_synthesis(*args):
             raise AssertionError("synthesis ran before the thresholds were checked")
 
-        monkeypatch.setattr(mc_simulator, "_clarke_process", no_synthesis)
+        monkeypatch.setattr(mc_simulator, "_component_processes", no_synthesis)
         cfg = FasConfig(2, 0.3)
         with pytest.raises(DomainError):
             estimate_lcr(cfg, SimParams.from_cycles(cfg, 1e3), [0.5, bad])
@@ -392,7 +417,7 @@ class TestEstimateLcr:
         def no_synthesis(*args):
             raise AssertionError("synthesis ran for an empty threshold list")
 
-        monkeypatch.setattr(mc_simulator, "_clarke_process", no_synthesis)
+        monkeypatch.setattr(mc_simulator, "_component_processes", no_synthesis)
         cfg = FasConfig(2, 0.3)
         assert estimate_lcr(cfg, SimParams.from_cycles(cfg, 1e3), []) == []
         with pytest.raises(ConfigError):    # below the 100-cycle floor
