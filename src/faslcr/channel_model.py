@@ -55,7 +55,7 @@ class FasConfig:
             raise ConfigError(f"n_ports must be an integer >= 1, got {self.n_ports!r}")
         for name in ("aperture", "sigma2", "f_doppler"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float, np.floating, np.integer)) and math.isfinite(v)):
+            if not _is_finite_number(v):
                 raise ConfigError(f"{name} must be a finite number, got {v!r}")
         if self.aperture < 0.0:
             raise ConfigError(f"aperture must be >= 0, got {self.aperture!r}")
@@ -121,10 +121,7 @@ def _validate_mu(mu):
     DomainError unless it is a finite number >= 0; SingularityError at or
     above the identical-channel cutoff, where the pair density is singular.
     """
-    if not (
-        isinstance(mu, (int, float, np.integer, np.floating))
-        and math.isfinite(mu) and mu >= 0.0
-    ):
+    if not (_is_finite_number(mu) and mu >= 0.0):
         raise DomainError(f"mu must be finite and >= 0, got {mu!r}")
     mu = float(mu)
     if mu >= IDENTICAL_CHANNEL_CUTOFF:

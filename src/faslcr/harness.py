@@ -114,40 +114,46 @@ class ResultRow:
 CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
 
 
-def _evaluate_group(n, w, method, thresholds, base_cfg, sim):
-    """All rows of one (n, w, method) group, in threshold order."""
-    cfg = FasConfig(n_ports=n, aperture=w, sigma2=base_cfg.sigma2,
-                    f_doppler=base_cfg.f_doppler)
-    if method == "monte_carlo":
-        points = [(est.threshold, est.rate, est.crossings, est.duration)
-                  for est in estimate_lcr(cfg, sim, thresholds)]
-    else:
-        # looked up at call time, so a patched module attribute is the one called
-        profile = correlation_profile(cfg) if method in ("theorem1", "two_port_series") else None
-        rate_at = {
-            "theorem1": lambda x: lcr_theorem1(cfg, profile, x),
-            "iid": lambda x: lcr_iid(cfg, x),
-            "identical": lambda x: lcr_identical(cfg, x),
-            "two_port_series": lambda x: lcr_two_port_series(cfg, profile.mu[1], x),
-        }[method]
-        points = [(x, rate_at(x), None, None) for x in thresholds]
-    return [
-        ResultRow(n=n, w=w, threshold_linear=x, threshold_db=linear_to_db(x, cfg.sigma),
-                  method=method, nlcr=rate / cfg.f_doppler, raw_rate=rate,
-                  mc_crossings=crossings, mc_duration=duration)
-        for x, rate, crossings, duration in points
-    ]
+def _analytic_points(cfg, method, thresholds):
+    """(threshold, rate, None, None) of one analytic method at each threshold of ``cfg``."""
+    # looked up at call time, so a patched module attribute is the one called
+    profile = correlation_profile(cfg) if method in ("theorem1", "two_port_series") else None
+    rate_at = {
+        "theorem1": lambda x: lcr_theorem1(cfg, profile, x),
+        "iid": lambda x: lcr_iid(cfg, x),
+        "identical": lambda x: lcr_identical(cfg, x),
+        "two_port_series": lambda x: lcr_two_port_series(cfg, profile.mu[1], x),
+    }[method]
+    return [(x, rate_at(x), None, None) for x in thresholds]
 
 
 def run_sweep(spec, base_cfg):
     """Evaluate the full Cartesian grid of ``spec``.
 
-    Rows come back sorted by (n, w, threshold, method); all grid points of
-    one (n, w, method) group are computed together so MC reuses one channel
-    realization across thresholds.
+    Rows come back sorted by (n, w, threshold, method).  The analytic
+    methods are evaluated one (n, w, method) group at a time.  Monte-Carlo
+    makes one ``estimate_lcr`` walk over every (n, w) of the grid, so all
+    its rows, across thresholds, port counts and apertures, share one
+    channel realization, and each chunk of it is synthesized once.
     """
-    rows = [row for n in spec.n_list for w in spec.w_list for method in spec.methods
-            for row in _evaluate_group(n, w, method, spec.thresholds, base_cfg, spec.sim)]
+    cfgs = [FasConfig(n_ports=n, aperture=w, sigma2=base_cfg.sigma2,
+                      f_doppler=base_cfg.f_doppler)
+            for n in spec.n_list for w in spec.w_list]
+    rows = []
+    for method in spec.methods:
+        if method == "monte_carlo":
+            # looked up at call time, so a patched module attribute is the one called
+            groups = [[(e.threshold, e.rate, e.crossings, e.duration) for e in estimates]
+                      for estimates in estimate_lcr(cfgs, spec.sim, spec.thresholds)]
+        else:
+            groups = [_analytic_points(cfg, method, spec.thresholds) for cfg in cfgs]
+        rows += [
+            ResultRow(n=cfg.n_ports, w=cfg.aperture, threshold_linear=x,
+                      threshold_db=linear_to_db(x, cfg.sigma), method=method,
+                      nlcr=rate / cfg.f_doppler, raw_rate=rate,
+                      mc_crossings=crossings, mc_duration=duration)
+            for cfg, points in zip(cfgs, groups) for x, rate, crossings, duration in points
+        ]
     rows.sort(key=lambda r: (r.n, r.w, r.threshold_linear, METHODS.index(r.method)))
     return rows
 

@@ -38,14 +38,28 @@ fine tables of their left factors (steps of B dt, with phi_m folded in); any
 range of block rows is evaluated from it on demand.  The left factors of all
 2N processes are built per range in one batch, from the coarse rows that
 range touches, and multiplied by the right factors in one stacked product.
-A row depends only on its block index, so a streamed run synthesizes the
-same bits as the whole series.
+A row depends only on its block index, so for a fixed BLAS build and thread
+count a streamed run synthesizes the same bits as the whole series.  (The
+rounding of a product can change with the BLAS thread count: rows made with
+one OpenBLAS thread and with two have differed in the last bits, though no
+crossing count has.)
 
-``estimate_lcr`` streams: it walks the block rows in chunks of about
-_CHUNK_SAMPLES samples, and synthesizes, assembles, selects and counts one
-chunk at a time, carrying the last selected sample across each chunk
-boundary.  Its memory is set by the chunk and the right factors, not by the
-duration, and its counts equal those of the whole series.
+``estimate_lcr`` streams, and it walks any number of configs that share
+``sim`` and f_D in one pass.  Port k reads streams 2k and 2k+1 whatever N
+is, so the processes of a smaller port count are the leading rows of those
+of a larger one.  The walk takes the block rows in chunks of about
+_CHUNK_SAMPLES samples.  Per chunk it synthesizes the largest N's 2N rows
+once, into one buffer allocated for the whole run, and every config selects
+and counts from its leading rows.  Selection is fused: a running maximum of
+the port powers p_k = re_k^2 + im_k^2, then one sqrt and one scale by sigma
+per sample.  fl(sqrt) and multiplication by sigma > 0 are monotone, so this
+is bit-equal to selecting among the port envelopes.  Counting ranks each
+sample against all the sorted thresholds at once; a step down from rank h
+to rank h' crosses exactly the thresholds of rank h' .. h - 1.  The last
+selected sample of each chunk is prepended to the next chunk, so the step
+across a chunk boundary is an ordinary step.  Memory is set by the chunk
+and the right factors, not by the duration or the number of configs, and
+the counts equal those of the whole series.
 
 Seeding expands a 64-bit root seed into one substream per process via
 counter-keyed seed sequences: stream 2j drives x_j and stream 2j+1 drives
@@ -287,7 +301,7 @@ def _component_processes(cfg, sim):
     return _ProcessBank(omegas, block * sim.dt, fine(block * sim.dt, n_blocks, phases), right)
 
 
-def _synthesize(bank, sim, first, stop):
+def _synthesize(bank, sim, first, stop, out=None):
     """Block rows ``first`` to ``stop`` - 1 of every process, cut to ``sim.n_samples``.
 
     The bank's rows alternate x and y, as ``_component_processes`` stacks
@@ -296,12 +310,17 @@ def _synthesize(bank, sim, first, stop):
     the right factors in one stacked product.  At least two rows are
     multiplied: numpy hands a single row to BLAS's gemv, whose rounding
     differs from gemm's, and every row must come out the same whichever
-    range it is synthesized in.
+    range it is synthesized in.  The product is written into the leading
+    elements of the flat float64 buffer ``out`` when one is given, so that
+    each process's samples stay contiguous, and into a new array otherwise.
     """
     block, _ = _block_layout(sim.n_samples)
     n_rows = max(stop - first, 2)
     left = _angle_rows(bank.omegas, bank.block_dt, bank.fine, first, first + n_rows)
-    out = np.matmul(left.view(np.float64), bank.right).reshape(len(bank.right), -1)
+    shape = (len(bank.right), n_rows, block)
+    if out is not None:
+        out = out[:math.prod(shape)].reshape(shape)
+    out = np.matmul(left.view(np.float64), bank.right, out=out).reshape(len(bank.right), -1)
     size = min(stop * block, sim.n_samples) - first * block
     return BaseProcesses(x=out[0::2, :size], y=out[1::2, :size], dt=sim.dt)
 
@@ -313,42 +332,78 @@ def generate_base_processes(cfg, sim):
     return _synthesize(_component_processes(cfg, sim), sim, 0, n_blocks)
 
 
-def _magnitude(re, im, sigma):
-    """sigma sqrt(re^2 + im^2), computed in place: ``re`` and ``im`` are overwritten."""
-    re *= re
-    im *= im
-    re += im
-    np.sqrt(re, out=re)
-    re *= sigma
-    return re
+def _port_power(x, y, k, mu, out, scratch):
+    """Power re^2 + im^2 of the port that reads row ``k``, written into ``out``.
+
+    ``x`` and ``y`` hold component rows as ``BaseProcesses`` does: row 0 is
+    the reference port's, and the port of row k > 0 has the components
+    re = sqrt(1 - mu^2) x[k] + mu x[0] and im likewise from ``y``.
+    ``scratch`` is a pair of buffers of the length of ``out``.  The
+    components are of order 1 (at most sqrt(M) in size), so the squares
+    cannot overflow, and they underflow only below a magnitude of about
+    1e-154, which no sampled fade reaches in practice: ``np.hypot``'s
+    rescaling has nothing to guard here and would only cost time.
+    """
+    im, tmp = scratch
+    if k == 0:
+        np.multiply(x[0], x[0], out=out)
+        np.multiply(y[0], y[0], out=im)
+    else:
+        root = math.sqrt(1.0 - mu * mu)
+        for rows, part in ((x, out), (y, im)):
+            np.multiply(rows[k], root, out=part)
+            np.multiply(rows[0], mu, out=tmp)
+            part += tmp
+        out *= out
+        im *= im
+    out += im
+    return out
+
+
+def _select(base, sigma, mu, out, scratch):
+    """The selected envelope of a port profile ``mu``, written into ``out``.
+
+    It is sigma sqrt(max_k p_k) over the port powers p_k of ``_port_power``,
+    read from the leading len(mu) rows of ``base``.  fl(sqrt) and the product
+    with sigma > 0 are monotone, so this equals
+    ``fas_select(assemble_port_envelopes(...)).samples`` bit for bit, with
+    one sqrt and one scale per sample in place of one per port.  Ports at the
+    identical-channel cutoff repeat the reference port and are skipped.
+    ``scratch`` holds three buffers of the length of ``out``.
+    """
+    power, pair = scratch[0], scratch[1:]
+    _port_power(base.x, base.y, 0, 0.0, out, pair)
+    for k in range(1, len(mu)):
+        if abs(mu[k]) < IDENTICAL_CHANNEL_CUTOFF:
+            np.maximum(out, _port_power(base.x, base.y, k, mu[k], power, pair), out=out)
+    np.sqrt(out, out=out)
+    out *= sigma
+    return out
 
 
 def assemble_port_envelopes(cfg, profile, base):
     """Combine the base processes into the N per-port envelope series.
 
-    Port k's envelope is sigma sqrt(re^2 + im^2) of its combined components.
-    The components are of order 1 (at most sqrt(M) in size), so the squares
-    cannot overflow, and they underflow only below a magnitude of about
-    1e-154, which no sampled fade reaches in practice: ``np.hypot``'s
-    rescaling has nothing to guard here and would only cost time.
+    Port k's envelope is sigma sqrt(p_k) of its power p_k = re^2 + im^2
+    (``_port_power``).  A port at the identical-channel cutoff is a copy of
+    the reference port's envelope.
     """
     _check_port_count(cfg, profile)
     if base.x.shape[0] != cfg.n_ports:
         raise ConfigError(
             f"base processes carry {base.x.shape[0]} streams, expected {cfg.n_ports}"
         )
-    sigma = cfg.sigma
-    env1 = _magnitude(base.x[0].copy(), base.y[0].copy(), sigma)
-    out = [EnvelopeSeries(samples=env1, dt=base.dt)]
-    for k in range(2, cfg.n_ports + 1):
-        mu = profile.mu[k - 1]
-        if abs(mu) >= IDENTICAL_CHANNEL_CUTOFF:
-            out.append(EnvelopeSeries(samples=env1.copy(), dt=base.dt))
-            continue
-        root = math.sqrt(1.0 - mu * mu)
-        re = root * base.x[k - 1] + mu * base.x[0]
-        im = root * base.y[k - 1] + mu * base.y[0]
-        out.append(EnvelopeSeries(samples=_magnitude(re, im, sigma), dt=base.dt))
+    n = base.x.shape[1]
+    scratch = (np.empty(n), np.empty(n))
+    out = []
+    for k, mu in enumerate(profile.mu):
+        if k and abs(mu) >= IDENTICAL_CHANNEL_CUTOFF:
+            samples = out[0].samples.copy()
+        else:
+            samples = _port_power(base.x, base.y, k, mu, np.empty(n), scratch)
+            np.sqrt(samples, out=samples)
+            samples *= cfg.sigma
+        out.append(EnvelopeSeries(samples=samples, dt=base.dt))
     return out
 
 
@@ -370,6 +425,31 @@ def fas_select(envelopes):
     return EnvelopeSeries(samples=selected, dt=dt)
 
 
+def _down_crossings(samples, ascending, rank, mask):
+    """Downward crossings of each of the ``ascending`` thresholds in ``samples``.
+
+    A crossing of t is an index i with samples[i] >= t > samples[i+1].  Each
+    sample's rank h_i = #{j : samples[i] >= t_j} is accumulated in ``rank``,
+    whose integer dtype must hold len(ascending), by one compare-and-add per
+    threshold (``mask`` is a bool buffer).  A step down from h_i to h_(i+1)
+    crosses exactly the thresholds of rank h_(i+1) .. h_i - 1, so two
+    bincounts of the down steps and a cumsum give every count.  Equal
+    thresholds each get the count.  The buffers are at least as long as
+    ``samples``; the counts come back as an int64 array.
+    """
+    n = samples.size
+    rank, mask = rank[:n], mask[:n]
+    rank.fill(0)
+    for t in ascending:
+        np.greater_equal(samples, t, out=mask)
+        np.add(rank, mask.view(np.uint8), out=rank)
+    before, after = rank[:-1], rank[1:]
+    down = np.flatnonzero(after < before)
+    bins = len(ascending) + 1
+    steps = np.bincount(after[down], minlength=bins) - np.bincount(before[down], minlength=bins)
+    return np.cumsum(steps[:-1])
+
+
 def count_crossings(series, x_th, f_doppler=None):
     """Count downward crossings of ``x_th`` and convert to a rate.
 
@@ -380,52 +460,71 @@ def count_crossings(series, x_th, f_doppler=None):
     if not isinstance(series, EnvelopeSeries):
         raise ConfigError(f"expected EnvelopeSeries, got {type(series).__name__}")
     x_th = _validate_threshold(x_th)
-    above = series.samples >= x_th
-    crossings = int(np.count_nonzero(above[:-1] & ~above[1:]))
+    n = series.samples.size
+    crossings = int(_down_crossings(series.samples, (x_th,), np.empty(n, np.uint8),
+                                    np.empty(n, bool))[0])
     return _estimate(x_th, crossings, series.duration, f_doppler)
 
 
 def estimate_lcr(cfg, sim, thresholds):
-    """Full pipeline: synthesize, assemble, select and count at each threshold.
+    """Full pipeline: synthesize, select and count at each threshold.
 
-    Deterministic for a fixed (cfg, sim, thresholds): the whole run derives
-    from the root seed.  The thresholds, ``cfg`` and ``sim`` are validated
-    before any synthesis, and an empty threshold list returns [] unsynthesized.
-    The run streams over chunks of whole blocks of about _CHUNK_SAMPLES
-    samples: each chunk is synthesized, assembled into port envelopes,
-    selected and counted, and the last selected sample is carried into the
-    next chunk so that a crossing between two chunks is counted once.  The
-    counts equal those of the whole series, and memory does not grow with
-    ``sim.duration``.
+    ``cfg`` is a FasConfig, for which the estimates come back as a list in
+    threshold order, or a list or tuple of FasConfigs that share
+    ``f_doppler``, for which one such list comes back per config.  All the
+    configs are walked over one channel realization, streamed in chunks as
+    the module docstring describes, and each config's counts are those of a
+    run on it alone and of the whole series.
+
+    Deterministic for a fixed (cfg, sim, thresholds), BLAS build and BLAS
+    thread count: the whole run derives from the root seed.  The thresholds,
+    the configs and ``sim`` are validated before any synthesis, and an empty
+    threshold list gives empty estimates unsynthesized.
     """
+    several = isinstance(cfg, (list, tuple))
+    cfgs = list(cfg) if several else [cfg]
     thresholds = [_validate_threshold(x) for x in thresholds]
-    _check_run(cfg, sim)
-    if not thresholds:
-        return []
-    profile = correlation_profile(cfg)
-    bank = _component_processes(cfg, sim)
-    block, n_blocks = _block_layout(sim.n_samples)
-    chunk_blocks = max(2, _CHUNK_SAMPLES // block)
-    n_chunks = -(-n_blocks // chunk_blocks)
-    # An even split leaves the last chunk, which ends on the ragged block, at
-    # least two blocks long, so no chunk is a lone sample.
-    bounds = [n_blocks * i // n_chunks for i in range(n_chunks + 1)]
-    crossings = [0] * len(thresholds)
-    last = None
-    for first, stop in zip(bounds, bounds[1:]):
-        base = _synthesize(bank, sim, first, stop)
-        ports = assemble_port_envelopes(cfg, profile, base)
-        del base
-        selected = fas_select(ports)
-        del ports
-        head = selected.samples[0]
-        for i, x in enumerate(thresholds):
-            crossings[i] += count_crossings(selected, x).crossings
-            if last is not None and last >= x > head:
-                crossings[i] += 1
-        last = selected.samples[-1]
+    if not cfgs:
+        raise ConfigError("estimate_lcr needs at least one config")
+    for c in cfgs:
+        _check_run(c, sim)
+    if len({c.f_doppler for c in cfgs}) > 1:
+        raise ConfigError("the configs of one walk must share f_doppler")
+    crossings = np.zeros((len(cfgs), len(thresholds)), np.int64)
+    if thresholds:
+        profiles = [correlation_profile(c) for c in cfgs]
+        bank = _component_processes(max(cfgs, key=lambda c: c.n_ports), sim)
+        block, n_blocks = _block_layout(sim.n_samples)
+        chunk_blocks = max(2, _CHUNK_SAMPLES // block)
+        n_chunks = -(-n_blocks // chunk_blocks)
+        # An even split leaves the last chunk, which ends on the ragged block, at
+        # least two blocks long, so no chunk is a lone sample.
+        bounds = [n_blocks * i // n_chunks for i in range(n_chunks + 1)]
+        rows = max(2, *(stop - first for first, stop in zip(bounds, bounds[1:])))
+        synthesis = np.empty(len(bank.right) * rows * block)
+        # Slot 0 of ``selected`` holds the previous chunk's last selected sample.
+        selected = np.empty(rows * block + 1)
+        scratch = [np.empty(rows * block) for _ in range(3)]
+        rank = np.empty(selected.size, np.min_scalar_type(len(thresholds)))
+        mask = np.empty(selected.size, bool)
+        order = np.argsort(thresholds, kind="stable")
+        ascending = np.asarray(thresholds)[order]
+        carried = np.empty(len(cfgs))
+        for first, stop in zip(bounds, bounds[1:]):
+            base = _synthesize(bank, sim, first, stop, synthesis)
+            size = base.x.shape[1]
+            head = 1 if first == 0 else 0
+            for i, (c, profile) in enumerate(zip(cfgs, profiles)):
+                _select(base, c.sigma, profile.mu, selected[1:size + 1],
+                        [b[:size] for b in scratch])
+                selected[0] = carried[i]
+                crossings[i, order] += _down_crossings(selected[head:size + 1], ascending,
+                                                       rank, mask)
+                carried[i] = selected[size]
     duration = sim.n_samples * sim.dt
-    return [_estimate(x, c, duration, cfg.f_doppler) for x, c in zip(thresholds, crossings)]
+    estimates = [[_estimate(x, int(n), duration, c.f_doppler) for x, n in zip(thresholds, row)]
+                 for c, row in zip(cfgs, crossings)]
+    return estimates if several else estimates[0]
 
 
 def slope_moment_check(series):

@@ -36,6 +36,9 @@ class TestFasConfig:
         {"n_ports": 2, "aperture": 0.1, "sigma2": -1.0},
         {"n_ports": 2, "aperture": 0.1, "f_doppler": 0.0},
         {"n_ports": True, "aperture": 0.1},
+        {"n_ports": 2, "aperture": True},
+        {"n_ports": 2, "aperture": 0.1, "sigma2": True},
+        {"n_ports": 2, "aperture": 0.1, "f_doppler": True},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
@@ -186,6 +189,8 @@ class TestBivariatePdf:
             bivariate_pdf(1.0, -0.2, 1.0, 1.0)
         with pytest.raises(DomainError):
             bivariate_pdf(1.0, "0.5", 1.0, 1.0)
+        with pytest.raises(DomainError):
+            bivariate_pdf(1.0, False, 1.0, 1.0)
         with pytest.raises(DomainError):
             bivariate_pdf(1.0, 0.5, -1.0, 1.0)
         with pytest.raises(DomainError):

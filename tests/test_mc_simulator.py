@@ -1,12 +1,18 @@
 """Statistical and structural contracts of the channel simulator."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special
 
+import faslcr
 from faslcr import mc_simulator
 from faslcr.channel_model import CorrelationProfile, FasConfig, correlation_profile
 from faslcr.errors import ConfigError, DomainError
@@ -18,6 +24,8 @@ from faslcr.mc_simulator import (
     _angle_rows,
     _block_layout,
     _component_processes,
+    _down_crossings,
+    _select,
     _synthesize,
     assemble_port_envelopes,
     count_crossings,
@@ -33,6 +41,12 @@ from oracles import clarke_process_direct
 
 def _stream_rng(seed, stream):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
+
+
+def _crossings_by_rule(samples, x):
+    """Downward crossings of ``x`` by the definition, one threshold at a time."""
+    above = samples >= x
+    return int(np.count_nonzero(above[:-1] & ~above[1:]))
 
 
 @pytest.fixture(scope="module")
@@ -158,9 +172,9 @@ class TestBaseProcesses:
         chunks = []
         synthesize = mc_simulator._synthesize
 
-        def recorded(bank, sim, first, stop):
+        def recorded(bank, sim, first, stop, out=None):
             chunks.append((first, stop))
-            return synthesize(bank, sim, first, stop)
+            return synthesize(bank, sim, first, stop, out)
 
         monkeypatch.setattr(mc_simulator, "_synthesize", recorded)
         estimate_lcr(cfg, sim, [1.0])
@@ -297,6 +311,69 @@ class TestFasSelect:
                 EnvelopeSeries(np.array([1.0, 2.0]), 1.0),
                 EnvelopeSeries(np.array([1.0, 2.0, 3.0]), 1.0),
             ])
+
+
+class TestFusedSelection:
+    @pytest.mark.parametrize("w", [0.3, 0.1, 0.0])     # at W = 0 every port is at the cutoff
+    @pytest.mark.parametrize("n", [1, 2, 4, 16])
+    def test_bit_equal_to_selecting_the_port_envelopes(self, n, w):
+        # read from the leading rows of a 16-port synthesis, as the walk does
+        sim = SimParams.from_cycles(FasConfig(1, 0.0), duration_cycles=300, seed=71)
+        widest = generate_base_processes(FasConfig(16, w, sigma2=2.0), sim)
+        cfg = FasConfig(n, w, sigma2=2.0)
+        profile = correlation_profile(cfg)
+        want = fas_select(assemble_port_envelopes(cfg, profile,
+                                                  generate_base_processes(cfg, sim))).samples
+        size = sim.n_samples
+        got = _select(widest, cfg.sigma, profile.mu, np.empty(size),
+                      [np.empty(size) for _ in range(3)])
+        assert np.array_equal(got, want)
+
+
+class TestRankCounting:
+    def test_sorted_thresholds_match_the_rule(self):
+        # ties at 1.0 and 0.5 count as above; equal thresholds each get the count
+        samples = np.array([2.0, 1.0, 1.0, 0.5, 3.0, 0.0, 0.5, 0.4, 2.5, 2.5, 0.9])
+        ascending = (0.4, 0.5, 1.0, 1.0, 2.5, 9.0)
+        got = _down_crossings(samples, ascending, np.empty(11, np.uint8), np.empty(11, bool))
+        assert list(got) == [_crossings_by_rule(samples, x) for x in ascending]
+        assert list(got) == [1, 2, 3, 3, 2, 0]
+
+    def test_walk_matches_the_rule_across_chunks(self, monkeypatch):
+        # unsorted and repeated thresholds, thresholds equal to the samples on
+        # each side of every chunk boundary, and one between the two samples
+        # of each downward step across a boundary
+        cfg = FasConfig(3, 0.3)
+        sim = SimParams(sample_rate=64.0, duration=4100.7, seed=11)
+        chunks = []
+        synthesize = mc_simulator._synthesize
+
+        def recorded(bank, sim, first, stop, out=None):
+            chunks.append(first)
+            return synthesize(bank, sim, first, stop, out)
+
+        monkeypatch.setattr(mc_simulator, "_synthesize", recorded)
+        s = fas_select(assemble_port_envelopes(cfg, correlation_profile(cfg),
+                                               generate_base_processes(cfg, sim))).samples
+        block, _ = _block_layout(sim.n_samples)
+        estimate_lcr(cfg, sim, [1.0])
+        edges = np.array(chunks[1:]) * block
+        down = edges[s[edges - 1] > s[edges]]
+        assert down.size and len(chunks) > 2
+        thresholds = [1.5, 0.3, 1.5, 1.0, 0.3,
+                      *(float(v) for v in s[edges - 1]), *(float(v) for v in s[edges]),
+                      *(float(v) for v in 0.5 * (s[down - 1] + s[down]))]
+        got = [e.crossings for e in estimate_lcr(cfg, sim, thresholds)]
+        assert got == [_crossings_by_rule(s, x) for x in thresholds]
+
+    def test_more_thresholds_than_a_byte_holds(self):
+        cfg = FasConfig(2, 0.3)
+        sim = SimParams.from_cycles(cfg, duration_cycles=200, seed=3)
+        s = fas_select(assemble_port_envelopes(cfg, correlation_profile(cfg),
+                                               generate_base_processes(cfg, sim))).samples
+        thresholds = [float(x) for x in np.linspace(3.0, 0.01, 300)]
+        got = [e.crossings for e in estimate_lcr(cfg, sim, thresholds)]
+        assert got == [_crossings_by_rule(s, x) for x in thresholds]
 
 
 class TestCountCrossings:
@@ -436,6 +513,69 @@ class TestEstimateLcr:
         finally:
             tracemalloc.stop()
         assert peak < 24 * 2 ** 20
+
+    def test_walk_matches_runs_per_config(self):
+        # port counts out of order, different channel powers, W = 0 among them
+        sim = SimParams(sample_rate=64.0, duration=2100.3, seed=83)     # three chunks
+        cfgs = [FasConfig(n, w, sigma2=s2) for n, w, s2 in
+                [(2, 0.1, 2.0), (5, 0.3, 1.0), (1, 0.0, 1.0), (3, 0.0, 1.0),
+                 (5, 0.1, 0.5), (2, 0.3, 1.0)]]
+        thresholds = [1.5, 0.3, 1.0, 0.3, 2.2]
+        walked = estimate_lcr(tuple(cfgs), sim, thresholds)
+        assert walked == [estimate_lcr(c, sim, thresholds) for c in cfgs]
+
+    def test_walk_validation(self, monkeypatch):
+        def no_synthesis(*args):
+            raise AssertionError("synthesis ran")
+
+        monkeypatch.setattr(mc_simulator, "_component_processes", no_synthesis)
+        sim = SimParams.from_cycles(FasConfig(1, 0.0), 1e3)
+        assert estimate_lcr([FasConfig(2, 0.3), FasConfig(3, 0.1)], sim, []) == [[], []]
+        with pytest.raises(ConfigError):
+            estimate_lcr([], sim, [1.0])
+        with pytest.raises(ConfigError):
+            estimate_lcr([FasConfig(2, 0.3), FasConfig(2, 0.3, f_doppler=2.0)], sim, [1.0])
+        with pytest.raises(ConfigError):
+            estimate_lcr([FasConfig(2, 0.3), "not a config"], sim, [1.0])
+
+    def test_walk_memory_is_that_of_its_widest_config(self):
+        # the walk over N = 2..16 adds per-config state only; 0.98 measured
+        sim = SimParams.from_cycles(FasConfig(1, 0.0), duration_cycles=2000, seed=5)
+        thresholds = [0.5, 1.0, 1.5]
+
+        def peak(cfg):
+            tracemalloc.start()
+            try:
+                estimate_lcr(cfg, sim, thresholds)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        lone = peak(FasConfig(16, 0.3))
+        assert peak([FasConfig(n, 0.3) for n in range(2, 17)]) <= 1.1 * lone
+
+    def test_counts_match_a_single_blas_thread_run(self):
+        # at 1e3 cycles the synthesized rows of one OpenBLAS thread and of two
+        # differ in the last bits; the crossing counts must not
+        cfgs = [FasConfig(n, 0.3) for n in (1, 2, 4, 8)]
+        sim = SimParams.from_cycles(cfgs[0], duration_cycles=1e3, seed=20260808)
+        thresholds = [float(x) for x in np.linspace(0.05, 3.0, 20)]
+        code = (
+            "import json, numpy as np\n"
+            "from faslcr import FasConfig, SimParams, estimate_lcr\n"
+            "cfgs = [FasConfig(n, 0.3) for n in (1, 2, 4, 8)]\n"
+            "sim = SimParams.from_cycles(cfgs[0], duration_cycles=1e3, seed=20260808)\n"
+            "thresholds = [float(x) for x in np.linspace(0.05, 3.0, 20)]\n"
+            "print(json.dumps([[e.crossings for e in run]\n"
+            "                  for run in estimate_lcr(cfgs, sim, thresholds)]))\n"
+        )
+        src = str(Path(faslcr.__file__).resolve().parent.parent)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        want = [[e.crossings for e in run] for run in estimate_lcr(cfgs, sim, thresholds)]
+        assert json.loads(done.stdout) == want
 
     def test_fully_correlated_profile_matches_identical(self):
         # W = 0 collapses every port onto the reference port
