@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SingularityError
+from .errors import ConfigError, DomainError, SingularityError, _is_finite_number, _is_whole_number
 from .specfun import bessel_i0_scaled, bessel_j0
 
 __all__ = [
@@ -50,8 +50,7 @@ class FasConfig:
     f_doppler: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.n_ports, (int, np.integer)) and not isinstance(self.n_ports, bool)
-                and self.n_ports >= 1):
+        if not (_is_whole_number(self.n_ports) and self.n_ports >= 1):
             raise ConfigError(f"n_ports must be an integer >= 1, got {self.n_ports!r}")
         for name in ("aperture", "sigma2", "f_doppler"):
             v = getattr(self, name)
@@ -77,17 +76,17 @@ class FasConfig:
 
 @dataclass(frozen=True)
 class CorrelationProfile:
-    """Spatial correlation coefficients mu_1..mu_N; mu_1 = 0 by convention."""
+    """Spatial correlation coefficients mu_1..mu_N in [-1, 1]; mu_1 = 0 by convention."""
 
     mu: tuple
 
     def __post_init__(self):
         if len(self.mu) < 1:
             raise ConfigError("correlation profile must contain at least one entry")
+        if not all(_is_finite_number(m) and abs(m) <= 1.0 for m in self.mu):
+            raise ConfigError(f"each mu_k must be a number in [-1, 1], got {self.mu!r}")
         if self.mu[0] != 0.0:
             raise ConfigError(f"mu_1 must be 0 by convention, got {self.mu[0]!r}")
-        if not all(math.isfinite(m) for m in self.mu):
-            raise ConfigError("correlation coefficients must be finite")
 
     @property
     def n_ports(self):
@@ -102,12 +101,6 @@ class CorrelationProfile:
         ]
 
 
-def _is_finite_number(v):
-    """True when ``v`` is a finite real number that is not a bool."""
-    return (isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-            and math.isfinite(v))
-
-
 def _validate_threshold(x_th):
     """The threshold as a float; DomainError unless it is a finite number > 0."""
     if not (_is_finite_number(x_th) and x_th > 0.0):
@@ -118,28 +111,33 @@ def _validate_threshold(x_th):
 def _validate_mu(mu):
     """A pair correlation as a float.
 
-    DomainError unless it is a finite number >= 0; SingularityError at or
+    DomainError unless it is a number in [0, 1]; SingularityError at or
     above the identical-channel cutoff, where the pair density is singular.
     """
-    if not (_is_finite_number(mu) and mu >= 0.0):
-        raise DomainError(f"mu must be finite and >= 0, got {mu!r}")
+    if not (_is_finite_number(mu) and 0.0 <= mu <= 1.0):
+        raise DomainError(f"mu must be a number in [0, 1], got {mu!r}")
     mu = float(mu)
     if mu >= IDENTICAL_CHANNEL_CUTOFF:
         raise SingularityError(
-            f"mu = {mu!r} is at the identical-channel singularity; use lcr_identical"
-        )
+            f"mu = {mu!r} is at the identical-channel singularity; use lcr_identical")
     return mu
 
 
+def _check_config(cfg):
+    """ConfigError unless ``cfg`` is a FasConfig."""
+    if not isinstance(cfg, FasConfig):
+        raise ConfigError(f"expected FasConfig, got {type(cfg).__name__}")
+
+
 def _check_port_count(cfg, profile):
-    """ConfigError unless ``profile`` is a CorrelationProfile with cfg's port count."""
+    """ConfigError unless ``cfg`` is a FasConfig, ``profile`` a CorrelationProfile of its size."""
+    _check_config(cfg)
     if not isinstance(profile, CorrelationProfile) or profile.n_ports != cfg.n_ports:
         raise ConfigError("profile does not match the configuration's port count")
 
 
 def _check_profile(cfg, profile):
-    """``_check_port_count``, then SingularityError if any port sits at the
-    identical-channel cutoff."""
+    """``_check_port_count``, then SingularityError for a port at the identical-channel cutoff."""
     _check_port_count(cfg, profile)
     singular = profile.singular_ports()
     if singular:
@@ -157,8 +155,7 @@ def correlation_profile(cfg):
     system degenerates to the profile (0,), which makes the classical Rayleigh
     crossing rate fall out of the N-port machinery unchanged.
     """
-    if not isinstance(cfg, FasConfig):
-        raise ConfigError(f"expected FasConfig, got {type(cfg).__name__}")
+    _check_config(cfg)
     n = cfg.n_ports
     if n == 1:
         return CorrelationProfile(mu=(0.0,))
@@ -202,13 +199,13 @@ def joint_pdf(cfg, profile, point):
 
 def bivariate_pdf(sigma2, mu, x1, x2):
     """Two-port specialization of the joint envelope density; symmetric in (x1, x2)."""
-    if not (math.isfinite(sigma2) and sigma2 > 0.0):
+    if not (_is_finite_number(sigma2) and sigma2 > 0.0):
         raise DomainError(f"sigma2 must be finite and > 0, got {sigma2!r}")
     mu = _validate_mu(mu)
+    if not all(_is_finite_number(x) and x >= 0.0 for x in (x1, x2)):
+        raise DomainError(f"x1 and x2 must be finite and >= 0, got {x1!r} and {x2!r}")
     x1 = float(x1)
     x2 = float(x2)
-    if not (math.isfinite(x1) and math.isfinite(x2)) or x1 < 0.0 or x2 < 0.0:
-        raise DomainError("x1 and x2 must be finite and >= 0")
     c = sigma2 * (1.0 - mu * mu)
     v = 2.0 * mu * x1 * x2 / c
     u = (x1 * x1 + x2 * x2) / c

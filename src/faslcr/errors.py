@@ -1,4 +1,8 @@
-"""Semantic exception hierarchy shared by all faslcr modules."""
+"""Semantic exception hierarchy and input rules shared by all faslcr modules."""
+
+import math
+
+import numpy as np
 
 
 class FasLcrError(Exception):
@@ -25,3 +29,13 @@ class AccuracyError(FasLcrError, ArithmeticError):
     def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
+
+
+def _is_whole_number(v):
+    """True when ``v`` is a Python or numpy integer, never a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_finite_number(v):
+    """True when ``v`` is a whole number or a finite Python or numpy float, never a bool."""
+    return (_is_whole_number(v) or isinstance(v, (float, np.floating))) and math.isfinite(v)

@@ -22,8 +22,9 @@ from typing import Optional, get_args
 
 import numpy as np
 
-from .channel_model import FasConfig, _is_finite_number, _validate_threshold, correlation_profile
+from .channel_model import FasConfig, _validate_threshold, correlation_profile
 from .errors import AccuracyError, ConfigError, DomainError, FasLcrError, SingularityError
+from .errors import _is_finite_number, _is_whole_number
 from .lcr_analytic import lcr_identical, lcr_iid, lcr_theorem1, lcr_two_port_series
 from .mc_simulator import SimParams, estimate_lcr
 
@@ -83,7 +84,7 @@ class SweepSpec:
             except DomainError as exc:
                 raise ConfigError(f"thresholds grid: {exc}") from exc
         for n in self.n_list:
-            if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
+            if not (_is_whole_number(n) and n >= 1):
                 raise ConfigError(f"n_list entries must be integers >= 1, got {n!r}")
         for w in self.w_list:
             if not (_is_finite_number(w) and w >= 0.0):
@@ -461,6 +462,9 @@ def _run_command(args):
     if out != "-":
         emit_csv(rows, out)
         print(f"rows written to {out}")
+    if not summary.points:
+        print(f"FAIL: no point has a reference nlcr above {min_nlcr:g}")
+        return 1
     if summary.exceeds(tolerance):
         print(f"FAIL: median error exceeds tolerance {tolerance:.4%}")
         return 1
@@ -487,7 +491,3 @@ def main(argv=None):
 
 def cli_entry():
     raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    cli_entry()

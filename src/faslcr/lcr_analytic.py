@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import _check_profile, _validate_mu, _validate_threshold
-from .errors import AccuracyError, ConfigError, DomainError
+from .channel_model import _check_config, _check_profile, _validate_mu, _validate_threshold
+from .errors import AccuracyError, ConfigError, DomainError, _is_finite_number, _is_whole_number
 from .specfun import DEFAULT_TOLERANCE, bessel_i0_scaled, marcum_q1
 
 __all__ = [
@@ -70,12 +70,11 @@ class QuadratureSpec:
     def __post_init__(self):
         for name in ("abs_eps", "rel_eps"):
             v = getattr(self, name)
-            if not (isinstance(v, float) and 0.0 < v < 1.0):
+            if not (_is_finite_number(v) and 0.0 < v < 1.0):
                 raise ConfigError(f"{name} must lie in (0, 1), got {v!r}")
-        if not (isinstance(self.max_subdivisions, int) and self.max_subdivisions >= 1):
+        if not (_is_whole_number(self.max_subdivisions) and self.max_subdivisions >= 1):
             raise ConfigError(
-                f"max_subdivisions must be a positive integer, got {self.max_subdivisions!r}"
-            )
+                f"max_subdivisions must be an integer >= 1, got {self.max_subdivisions!r}")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -189,6 +188,7 @@ def lcr_iid(cfg, x_th):
 
     N sqrt(2 pi) f_D (x_th/sigma) exp(-x_th^2/sigma^2) (1 - exp(-x_th^2/sigma^2))^(N-1)
     """
+    _check_config(cfg)
     x_th = _validate_threshold(x_th)
     rho2 = x_th * x_th / cfg.sigma2
     cdf = -math.expm1(-rho2)
@@ -200,6 +200,7 @@ def lcr_iid(cfg, x_th):
 
 def lcr_identical(cfg, x_th):
     """Crossing rate with fully correlated ports; independent of the port count."""
+    _check_config(cfg)
     x_th = _validate_threshold(x_th)
     rho2 = x_th * x_th / cfg.sigma2
     return _SQRT_2PI / cfg.sigma * cfg.f_doppler * x_th * math.exp(-rho2)
@@ -235,10 +236,8 @@ def surviving_product(cfg, profile, x1, x_th, skip_index, tol=DEFAULT_TOLERANCE)
     """
     x_th = _validate_threshold(x_th)
     _check_profile(cfg, profile)
-    if not (1 <= skip_index <= cfg.n_ports):
-        raise DomainError(
-            f"skip_index must lie in 1..{cfg.n_ports}, got {skip_index!r}"
-        )
+    if not (_is_whole_number(skip_index) and 1 <= skip_index <= cfg.n_ports):
+        raise DomainError(f"skip_index must be an integer in 1..{cfg.n_ports}, got {skip_index!r}")
     x1_arr = np.asarray(x1, dtype=float)
     scalar = x1_arr.ndim == 0
     x1_arr = np.atleast_1d(x1_arr)
@@ -327,6 +326,7 @@ def lcr_two_port_series(cfg, mu, x_th, tol=DEFAULT_TOLERANCE):
     fades (x_th down to 1e-10 sigma).  ``tol`` is accepted for
     compatibility and not read.
     """
+    _check_config(cfg)
     x_th = _validate_threshold(x_th)
     mu = _validate_mu(mu)
     rho2 = x_th * x_th / cfg.sigma2

@@ -74,11 +74,9 @@ from typing import Optional
 
 import numpy as np
 
-from .channel_model import (
-    IDENTICAL_CHANNEL_CUTOFF, FasConfig, _check_port_count, _is_finite_number, _validate_threshold,
-    correlation_profile,
-)
-from .errors import ConfigError
+from .channel_model import IDENTICAL_CHANNEL_CUTOFF, _check_config, _check_port_count
+from .channel_model import _validate_threshold, correlation_profile
+from .errors import ConfigError, _is_finite_number, _is_whole_number
 
 # Samples per streamed chunk of estimate_lcr (whole blocks, so about this).
 _CHUNK_SAMPLES = 1 << 16
@@ -112,10 +110,9 @@ class SimParams:
             raise ConfigError(f"sample_rate must be a finite number > 0, got {self.sample_rate!r}")
         if not (_is_finite_number(self.duration) and self.duration > 0.0):
             raise ConfigError(f"duration must be a finite number > 0, got {self.duration!r}")
-        if not (isinstance(self.n_sinusoids, int) and self.n_sinusoids >= 8):
+        if not (_is_whole_number(self.n_sinusoids) and self.n_sinusoids >= 8):
             raise ConfigError(f"n_sinusoids must be an integer >= 8, got {self.n_sinusoids!r}")
-        if not (isinstance(self.seed, int) and not isinstance(self.seed, bool)
-                and 0 <= self.seed < 2 ** 64):
+        if not (_is_whole_number(self.seed) and 0 <= self.seed < 2 ** 64):
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
     @classmethod
@@ -126,6 +123,7 @@ class SimParams:
         duration_cycles  -- duration * f_D (number of fading cycles)
         rate_multiplier  -- sample_rate / f_D
         """
+        _check_config(cfg)
         return cls(
             sample_rate=rate_multiplier * cfg.f_doppler,
             duration=duration_cycles / cfg.f_doppler,
@@ -134,7 +132,8 @@ class SimParams:
         )
 
     def validate_for(self, cfg):
-        """Check the Doppler-relative invariants against a system config."""
+        """Check that ``cfg`` is a FasConfig, and the Doppler-relative invariants against it."""
+        _check_config(cfg)
         if self.sample_rate < 16.0 * cfg.f_doppler:
             raise ConfigError(
                 f"sample_rate {self.sample_rate!r} is below the 16*f_D Nyquist "
@@ -170,8 +169,8 @@ class BaseProcesses:
     def __post_init__(self):
         if self.x.shape != self.y.shape or self.x.ndim != 2:
             raise ConfigError("x and y must be matching 2-D arrays of shape (N, n)")
-        if self.dt <= 0.0:
-            raise ConfigError(f"dt must be > 0, got {self.dt!r}")
+        if not (_is_finite_number(self.dt) and self.dt > 0.0):
+            raise ConfigError(f"dt must be finite and > 0, got {self.dt!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +185,7 @@ class EnvelopeSeries:
         object.__setattr__(self, "samples", arr)
         if arr.ndim != 1 or arr.size < 2:
             raise ConfigError("an envelope series needs at least two samples")
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
+        if not (_is_finite_number(self.dt) and self.dt > 0.0):
             raise ConfigError(f"dt must be finite and > 0, got {self.dt!r}")
         if not np.all(np.isfinite(arr)) or float(arr.min()) < 0.0:
             raise ConfigError("envelope samples must be finite and >= 0")
@@ -259,13 +258,6 @@ class _ProcessBank:
     right: np.ndarray
 
 
-def _check_run(cfg, sim):
-    """Reject a config that is not a FasConfig, and sim parameters unfit for it."""
-    if not isinstance(cfg, FasConfig):
-        raise ConfigError(f"expected FasConfig, got {type(cfg).__name__}")
-    sim.validate_for(cfg)
-
-
 def _component_processes(cfg, sim):
     """The bank of 2N processes with variance 1/2 and Clarke Doppler spectrum.
 
@@ -327,7 +319,7 @@ def _synthesize(bank, sim, first, stop, out=None):
 
 def generate_base_processes(cfg, sim):
     """Synthesize the 2N independent component processes for ``cfg``, whole."""
-    _check_run(cfg, sim)
+    sim.validate_for(cfg)
     _, n_blocks = _block_layout(sim.n_samples)
     return _synthesize(_component_processes(cfg, sim), sim, 0, n_blocks)
 
@@ -487,7 +479,7 @@ def estimate_lcr(cfg, sim, thresholds):
     if not cfgs:
         raise ConfigError("estimate_lcr needs at least one config")
     for c in cfgs:
-        _check_run(c, sim)
+        sim.validate_for(c)
     if len({c.f_doppler for c in cfgs}) > 1:
         raise ConfigError("the configs of one walk must share f_doppler")
     crossings = np.zeros((len(cfgs), len(thresholds)), np.int64)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, _is_finite_number, _is_whole_number
 
 __all__ = [
     "Tolerance",
@@ -67,9 +67,9 @@ class Tolerance:
     max_terms: int = 1000
 
     def __post_init__(self):
-        if not (0.0 < self.rel_eps < 1.0):
+        if not (_is_finite_number(self.rel_eps) and 0.0 < self.rel_eps < 1.0):
             raise ConfigError(f"rel_eps must lie in (0, 1), got {self.rel_eps!r}")
-        if not (isinstance(self.max_terms, int) and self.max_terms >= 1):
+        if not (_is_whole_number(self.max_terms) and self.max_terms >= 1):
             raise ConfigError(f"max_terms must be a positive integer, got {self.max_terms!r}")
 
 
@@ -460,12 +460,12 @@ def lower_gamma_int(k, x):
     the closed form k! (1 - exp(-x) sum_{j<=k} x^j/j!) is safe because the
     bracket is order one there.  Monotone nondecreasing in x with limit k!.
     """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
+    if not (_is_whole_number(k) and k >= 0):
         raise DomainError(f"k must be a nonnegative integer, got {k!r}")
-    xf = float(x)
-    if not math.isfinite(xf) or xf < 0.0:
+    if not (_is_finite_number(x) and x >= 0.0):
         raise DomainError(f"x must be finite and >= 0, got {x!r}")
     k = int(k)
+    xf = float(x)
     if xf == 0.0:
         return 0.0
     if xf < k + 1.0:

@@ -90,6 +90,19 @@ class TestCorrelationProfile:
             CorrelationProfile(mu=(0.5, 0.2))
         with pytest.raises(ConfigError):
             CorrelationProfile(mu=(0.0, math.nan))
+        with pytest.raises(ConfigError):
+            CorrelationProfile(mu=(0.0, True))
+        with pytest.raises(ConfigError):
+            CorrelationProfile(mu=(0.0, "0.5"))
+        with pytest.raises(ConfigError):
+            CorrelationProfile(mu=(0.0, 1.5))
+        with pytest.raises(ConfigError):
+            CorrelationProfile(mu=(False, 0.5))
+
+    def test_profile_accepts_numbers_in_the_unit_interval(self):
+        prof = CorrelationProfile(mu=(0, np.float32(-0.4), -1.0, np.int64(1)))
+        assert prof.n_ports == 4
+        assert prof.singular_ports() == [3, 4]
 
     def test_singular_ports_reported(self):
         prof = CorrelationProfile(mu=(0.0, 0.5, 1.0 - 1e-10))
@@ -157,6 +170,8 @@ class TestJointPdf:
             joint_pdf(cfg, prof, [-1.0, 1.0])           # negative amplitude
         with pytest.raises(ConfigError):
             joint_pdf(cfg, correlation_profile(FasConfig(3, 0.1)), [1.0, 1.0, 1.0])
+        with pytest.raises(ConfigError):
+            joint_pdf("not a config", prof, [1.0, 1.0])
 
 
 class TestBivariatePdf:
@@ -195,3 +210,11 @@ class TestBivariatePdf:
             bivariate_pdf(1.0, 0.5, -1.0, 1.0)
         with pytest.raises(DomainError):
             bivariate_pdf(0.0, 0.5, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            bivariate_pdf(True, 0.5, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            bivariate_pdf(1.0, 1.5, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            bivariate_pdf(1.0, 0.5, "1.0", 1.0)
+        with pytest.raises(DomainError):
+            bivariate_pdf(1.0, 0.5, 1.0, True)

@@ -2,11 +2,16 @@
 
 import io
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import faslcr
 from faslcr import harness
 from faslcr.channel_model import FasConfig
 from faslcr.errors import ConfigError
@@ -73,6 +78,16 @@ class TestSweepSpec:
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             SweepSpec(**kwargs)
+
+    def test_numpy_port_counts_write_the_same_csv(self):
+        grid = dict(thresholds=(0.5, 1.0), w_list=(0.3,), methods=("theorem1", "monte_carlo"),
+                    sim=small_sim(seed=7))
+        csvs = []
+        for n_list in ((2,), (np.int64(2),)):
+            buf = io.StringIO()
+            emit_csv(run_sweep(SweepSpec(n_list=n_list, **grid), BASE), buf)
+            csvs.append(buf.getvalue())
+        assert csvs[1] == csvs[0]
 
 
 class TestDbConversion:
@@ -324,6 +339,25 @@ class TestCli:
                 "--duration-cycles", "1000", "--seed", "5", "--method", "theorem1"]
         assert main(argv + ["--tolerance", "0.25"]) == 0
         assert main(argv + ["--tolerance", "0.0001"]) == 1
+
+    def test_compare_fails_when_no_point_is_compared(self, capsys):
+        # every reference nlcr is below --min-nlcr, so nothing is gated
+        assert main(["compare", "--n", "2", "--w", "0.3", "--thresholds", "0.5,1",
+                     "--min-nlcr", "100", "--duration-cycles", "200"]) == 1
+        out = capsys.readouterr().out
+        assert "compared 0 points" in out
+        assert "FAIL" in out and "PASS" not in out
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(faslcr.__file__).resolve().parent.parent)
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "faslcr", "analytic", "--n", "2",
+                               "--w", "0.3", "--thresholds", "1"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0
+        assert done.stdout.startswith(harness.CSV_HEADER + "\n")
+        assert done.stderr == ""
 
     def test_config_error_exit_code(self, capsys):
         assert main(["sweep", "--n", "2", "--w", "0.1", "--methods", "bogus",

@@ -111,6 +111,17 @@ class TestLcrIdentical:
         assert hi == pytest.approx(2.0 * lo, rel=1e-15)
 
 
+@pytest.mark.parametrize("rate", [
+    lambda cfg: lcr_iid(cfg, 1.0),
+    lambda cfg: lcr_identical(cfg, 1.0),
+    lambda cfg: lcr_two_port_series(cfg, 0.5, 1.0),
+    lambda cfg: lcr_theorem1(cfg, CorrelationProfile(mu=(0.0, 0.5)), 1.0),
+], ids=["iid", "identical", "two_port_series", "theorem1"])
+def test_rates_refuse_a_non_config(rate):
+    with pytest.raises(ConfigError, match="expected FasConfig, got str"):
+        rate("not a config")
+
+
 class TestTwoPortSeries:
     def test_mu_zero_is_two_port_iid(self):
         cfg = FasConfig(2, 0.1, sigma2=1.4, f_doppler=2.5)
@@ -177,6 +188,10 @@ class TestTwoPortSeries:
             lcr_two_port_series(cfg, 0.5, -1.0)
         with pytest.raises(DomainError):
             lcr_two_port_series(cfg, "0.5", 1.0)
+        with pytest.raises(DomainError):
+            lcr_two_port_series(cfg, 1.5, 1.0)
+        with pytest.raises(ConfigError):
+            lcr_two_port_series("not a config", 0.5, 1.0)
 
     def test_numpy_scalar_correlations_accepted(self):
         cfg = FasConfig(2, 0.1)
@@ -247,6 +262,14 @@ class TestSurvivingProduct:
             surviving_product(cfg, prof, 1.5, 1.0, skip_index=1)   # x1 > x_th
         with pytest.raises(DomainError):
             surviving_product(cfg, prof, 0.5, 1.0, skip_index=4)   # bad index
+        with pytest.raises(DomainError):
+            surviving_product(cfg, prof, 0.5, 1.0, skip_index=True)
+        with pytest.raises(DomainError):
+            surviving_product(cfg, prof, 0.5, 1.0, skip_index=1.5)
+        with pytest.raises(ConfigError):
+            surviving_product("not a config", prof, 0.5, 1.0, skip_index=1)
+        assert surviving_product(cfg, prof, 0.5, 1.0, skip_index=np.int64(2)) == (
+            surviving_product(cfg, prof, 0.5, 1.0, skip_index=2))
 
 
 class TestTheorem1:
@@ -491,6 +514,7 @@ class TestQuadratureSpec:
 
     @pytest.mark.parametrize("kwargs", [
         {"abs_eps": 0.0}, {"rel_eps": 1.5}, {"max_subdivisions": 0},
+        {"max_subdivisions": True}, {"rel_eps": "1e-9"},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):

@@ -18,6 +18,7 @@ from faslcr.channel_model import CorrelationProfile, FasConfig, correlation_prof
 from faslcr.errors import ConfigError, DomainError
 from faslcr.lcr_analytic import lcr_identical
 from faslcr.mc_simulator import (
+    BaseProcesses,
     EnvelopeSeries,
     LcrEstimate,
     SimParams,
@@ -88,6 +89,22 @@ class TestSimParams:
         with pytest.raises(ConfigError):
             SimParams(sample_rate=640.0, duration=5.0).validate_for(cfg)    # < 100 cycles
         SimParams(sample_rate=640.0, duration=100.0).validate_for(cfg)
+        with pytest.raises(ConfigError, match="expected FasConfig"):
+            SimParams(sample_rate=640.0, duration=100.0).validate_for("not a config")
+        with pytest.raises(ConfigError, match="expected FasConfig"):
+            SimParams.from_cycles("not a config")
+
+    def test_numpy_integers_accepted(self):
+        # the same seed as a numpy integer draws the same channel
+        cfg = FasConfig(4, 0.3)
+        thresholds = [0.3, 0.7, 1.0, 1.5]
+        want = [e.crossings for e in estimate_lcr(
+            cfg, SimParams.from_cycles(cfg, 1e3, seed=20260808), thresholds)]
+        for seed in (np.uint64(20260808), np.int64(20260808)):
+            sim = SimParams.from_cycles(cfg, 1e3, n_sinusoids=np.int64(64), seed=seed)
+            assert [e.crossings for e in estimate_lcr(cfg, sim, thresholds)] == want
+        top = SimParams(sample_rate=64.0, duration=10.0, seed=np.uint64(2 ** 64 - 1))
+        assert top.seed == 2 ** 64 - 1
 
 
 class TestBaseProcesses:
@@ -427,6 +444,14 @@ class TestCountCrossings:
     def test_errors(self):
         with pytest.raises(ConfigError):
             EnvelopeSeries(np.array([1.0]), 1.0)
+        with pytest.raises(ConfigError):
+            EnvelopeSeries(np.array([1.0, 2.0]), True)
+        with pytest.raises(ConfigError):
+            EnvelopeSeries(np.array([1.0, 2.0]), "0.5")
+        with pytest.raises(ConfigError):
+            BaseProcesses(np.zeros((1, 2)), np.zeros((1, 2)), math.nan)
+        with pytest.raises(ConfigError):
+            BaseProcesses(np.zeros((1, 2)), np.zeros((1, 2)), True)
         with pytest.raises(DomainError):
             count_crossings(EnvelopeSeries(np.array([1.0, 2.0]), 1.0), 0.0)
 

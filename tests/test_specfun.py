@@ -423,6 +423,13 @@ class TestLowerGammaInt:
             lower_gamma_int(-1, 1.0)
         with pytest.raises(DomainError):
             lower_gamma_int(1.5, 1.0)
+        with pytest.raises(DomainError):
+            lower_gamma_int(True, 1.0)
+        with pytest.raises(DomainError):
+            lower_gamma_int(2, "0.5")
+        with pytest.raises(DomainError):
+            lower_gamma_int(2, True)
+        assert lower_gamma_int(np.int64(2), np.float32(5.0)) == lower_gamma_int(2, 5.0)
 
 
 class TestTolerance:
@@ -434,6 +441,7 @@ class TestTolerance:
     @pytest.mark.parametrize("kwargs", [
         {"rel_eps": 0.0}, {"rel_eps": 1.0}, {"rel_eps": -0.1},
         {"max_terms": 0}, {"max_terms": -3},
+        {"max_terms": True}, {"rel_eps": "1e-12"},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
