@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, SingularityError, _is_finite_number, _is_whole_number
-from .specfun import bessel_i0_scaled, bessel_j0
+from .specfun import _as_float_array, bessel_i0_scaled, bessel_j0
 
 __all__ = [
     "APERTURE_IN_RANGE_MAX",
@@ -185,10 +185,10 @@ def joint_pdf(cfg, profile, point):
     reference port; it is not a general N-variate Rayleigh law.
     """
     _check_profile(cfg, profile)
-    x = np.asarray(point, dtype=float)
+    x = _as_float_array(point, "envelope amplitudes")[0]
     if x.ndim != 1 or x.size != cfg.n_ports:
         raise DomainError(f"point must be a length-{cfg.n_ports} vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)) or np.any(x < 0.0):
+    if np.any(x < 0.0):
         raise DomainError("envelope amplitudes must be finite and >= 0")
     sigma2 = cfg.sigma2
     density = _pair_density_factor(sigma2, 0.0, x[0], x[0])

@@ -1,6 +1,7 @@
 """Semantic exception hierarchy and input rules shared by all faslcr modules."""
 
 import math
+import sys
 
 import numpy as np
 
@@ -37,5 +38,8 @@ def _is_whole_number(v):
 
 
 def _is_finite_number(v):
-    """True when ``v`` is a whole number or a finite Python or numpy float, never a bool."""
-    return (_is_whole_number(v) or isinstance(v, (float, np.floating))) and math.isfinite(v)
+    """True when ``v`` is a whole number within the float range or a finite
+    Python or numpy float, never a bool."""
+    if _is_whole_number(v):
+        return -sys.float_info.max <= v <= sys.float_info.max
+    return isinstance(v, (float, np.floating)) and math.isfinite(v)

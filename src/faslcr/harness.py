@@ -22,7 +22,7 @@ from typing import Optional, get_args
 
 import numpy as np
 
-from .channel_model import FasConfig, _validate_threshold, correlation_profile
+from .channel_model import FasConfig, _check_config, _validate_threshold, correlation_profile
 from .errors import AccuracyError, ConfigError, DomainError, FasLcrError, SingularityError
 from .errors import _is_finite_number, _is_whole_number
 from .lcr_analytic import lcr_identical, lcr_iid, lcr_theorem1, lcr_two_port_series
@@ -137,6 +137,9 @@ def run_sweep(spec, base_cfg):
     its rows, across thresholds, port counts and apertures, share one
     channel realization, and each chunk of it is synthesized once.
     """
+    if not isinstance(spec, SweepSpec):
+        raise ConfigError(f"expected SweepSpec, got {type(spec).__name__}")
+    _check_config(base_cfg)
     cfgs = [FasConfig(n_ports=n, aperture=w, sigma2=base_cfg.sigma2,
                       f_doppler=base_cfg.f_doppler)
             for n in spec.n_list for w in spec.w_list]

@@ -19,7 +19,9 @@ quadrature node, every P_{-i} comes from prefix and suffix products of them,
 and the summed integrand is integrated in one adaptive pass, so the Marcum
 work per node grows like N rather than N^2.  The pass starts from four
 panels, and its first round also evaluates the factors at x1 = x_th for the
-first term, so a point makes exactly one Marcum call per quadrature round.
+first term, so a point makes exactly one Marcum kernel call per quadrature
+round.  g_i reuses the scaled I0 that the kernel takes, as its argument is
+that of the Marcum factor, xi = a_i x1 b_i.
 Three special cases collapse to closed forms:
 
 * all correlations zero  -> the i.i.d. selection-combining rate,
@@ -38,7 +40,7 @@ import numpy as np
 
 from .channel_model import _check_config, _check_profile, _validate_mu, _validate_threshold
 from .errors import AccuracyError, ConfigError, DomainError, _is_finite_number, _is_whole_number
-from .specfun import DEFAULT_TOLERANCE, bessel_i0_scaled, marcum_q1
+from .specfun import DEFAULT_TOLERANCE, _as_float_array, _marcum_kernel, bessel_i0_scaled, marcum_q1
 
 __all__ = [
     "QuadratureSpec",
@@ -80,7 +82,7 @@ class QuadratureSpec:
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 # The two-port series' truncation control, kept as a public name; nothing
-# reads it now, since every Marcum route sums a fixed number of terms.
+# reads it now, since every Marcum series is sized by its arguments.
 SERIES_TOLERANCE = DEFAULT_TOLERANCE
 
 # The 21-point Gauss-Kronrod rule on [-1, 1] and the 10-point Gauss rule
@@ -211,18 +213,19 @@ def lcr_identical(cfg, x_th):
 # ---------------------------------------------------------------------------
 
 def _below_threshold_factors(cfg, profile, x1, x_th):
-    """(N-1, m) matrix of F_k(x1) = 1 - Q1(a_k x1, b_k) over ports k = 2..N
-    (rows) and the m nodes of the 1-D array ``x1`` (columns), with
+    """(F, xi, I0~(xi)): the (N-1, m) matrices of F_k(x1) = 1 - Q1(a_k x1, b_k)
+    over ports k = 2..N (rows) and the m nodes of the 1-D array ``x1``
+    (columns), of xi = a_k x1 b_k and of e^-xi I0(xi), with
     a_k = sqrt(2 mu_k^2/s_k), b_k = sqrt(2/s_k) x_th and s_k = sigma^2 (1 - mu_k^2).
     The complement is computed directly where it is the small side, so
     factors near 0 in deep fades keep their relative accuracy.
     """
     mu = np.abs(np.asarray(profile.mu[1:], dtype=float))[:, None]
     s = cfg.sigma2 * (1.0 - mu * mu)
-    a = np.sqrt(2.0 * mu * mu / s) * x1
-    b = np.sqrt(2.0 / s) * x_th
-    # positional, as perfbench's tracer wraps this name and reads (a, b, *rest)
-    return marcum_q1(a, b, DEFAULT_TOLERANCE, True)
+    a, b = np.broadcast_arrays(np.sqrt(2.0 * mu * mu / s) * x1, np.sqrt(2.0 / s) * x_th)
+    xi = a * b
+    i0 = bessel_i0_scaled(xi)
+    return _marcum_kernel(a, b, i0, True), xi, i0
 
 
 def surviving_product(cfg, profile, x1, x_th, skip_index, tol=DEFAULT_TOLERANCE):
@@ -232,18 +235,17 @@ def surviving_product(cfg, profile, x1, x_th, skip_index, tol=DEFAULT_TOLERANCE)
     Each factor is the probability that the bivariate pair (reference = x1,
     port k) stays below the threshold.  ``x1`` may be a vector; the result is
     clipped into [0, 1].  ``tol`` is accepted for compatibility and not read:
-    the Marcum kernel sums a fixed number of terms.
+    the Marcum series are sized by their arguments.
     """
     x_th = _validate_threshold(x_th)
     _check_profile(cfg, profile)
     if not (_is_whole_number(skip_index) and 1 <= skip_index <= cfg.n_ports):
         raise DomainError(f"skip_index must be an integer in 1..{cfg.n_ports}, got {skip_index!r}")
-    x1_arr = np.asarray(x1, dtype=float)
-    scalar = x1_arr.ndim == 0
+    x1_arr, scalar = _as_float_array(x1, "x1")
     x1_arr = np.atleast_1d(x1_arr)
-    if not np.all(np.isfinite(x1_arr)) or np.any(x1_arr < 0.0) or np.any(x1_arr > x_th):
+    if np.any(x1_arr < 0.0) or np.any(x1_arr > x_th):
         raise DomainError("x1 must satisfy 0 <= x1 <= x_th")
-    factors = _below_threshold_factors(cfg, profile, x1_arr, x_th)
+    factors = _below_threshold_factors(cfg, profile, x1_arr, x_th)[0]
     kept = np.arange(2, cfg.n_ports + 1) != skip_index
     result = np.clip(np.prod(factors[kept], axis=0), 0.0, 1.0)
     return float(result[0]) if scalar else result
@@ -256,8 +258,9 @@ def lcr_theorem1(cfg, profile, x_th, quad=DEFAULT_QUADRATURE):
     crossing instant; the integral covers every other port i being the
     strongest, summed over i under one integral over the reference amplitude
     x1 in [0, x_th] and evaluated in a single adaptive pass.  The factors
-    F_k(x_th) of the first term come from the first round's Marcum call, as
-    one extra node column, so each round costs one call.  At each node the
+    F_k(x_th) of the first term come from the first round's Marcum kernel
+    call, as one extra node column, so each round costs one call, and the
+    summands reuse the scaled I0 that the kernel was given.  At each node the
     N - 1 below-threshold factors are computed once, and the product leaving
     out port i is the prefix product of the factors before i times the suffix
     product of those after it.  It is never the full product divided by
@@ -278,18 +281,17 @@ def lcr_theorem1(cfg, profile, x_th, quad=DEFAULT_QUADRATURE):
         if first is None:
             # the first round also gives the reference-port factors F_k(x_th),
             # from one extra node column of the same Marcum call
-            factors = _below_threshold_factors(cfg, profile, np.append(x1, x_th), x_th)
+            factors, xi, i0 = _below_threshold_factors(cfg, profile, np.append(x1, x_th), x_th)
             first = math.exp(-x_th * x_th / sigma2) * float(np.prod(factors[:, -1]))
-            factors = factors[:, :-1]
+            factors, xi, i0 = factors[:, :-1], xi[:, :-1], i0[:, :-1]
         else:
-            factors = _below_threshold_factors(cfg, profile, x1, x_th)
+            factors, xi, i0 = _below_threshold_factors(cfg, profile, x1, x_th)
         # leave_out[j] = prod_{l<j} factors[l] * prod_{l>j} factors[l]
         leave_out = np.ones_like(factors)
         np.cumprod(factors[:-1], axis=0, out=leave_out[1:])
         leave_out[:-1] *= np.cumprod(factors[:0:-1], axis=0)[::-1]
-        v = 2.0 * mu * x_th * x1 / s
-        fused = v - (x_th * x_th + x1 * x1) / s
-        terms = bessel_i0_scaled(v) * np.exp(fused) * leave_out / (1.0 - mu * mu)
+        fused = xi - (x_th * x_th + x1 * x1) / s
+        terms = i0 * np.exp(fused) * leave_out / (1.0 - mu * mu)
         return (2.0 * x1 / sigma2) * np.sum(terms, axis=0)
 
     prefactor = _SQRT_2PI * x_th * cfg.f_doppler / cfg.sigma

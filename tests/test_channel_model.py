@@ -39,6 +39,9 @@ class TestFasConfig:
         {"n_ports": 2, "aperture": True},
         {"n_ports": 2, "aperture": 0.1, "sigma2": True},
         {"n_ports": 2, "aperture": 0.1, "f_doppler": True},
+        {"n_ports": 2, "aperture": 10**400},
+        {"n_ports": 2, "aperture": 0.1, "sigma2": 10**400},
+        {"n_ports": 2, "aperture": 0.1, "f_doppler": -10**400},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
@@ -172,6 +175,9 @@ class TestJointPdf:
             joint_pdf(cfg, correlation_profile(FasConfig(3, 0.1)), [1.0, 1.0, 1.0])
         with pytest.raises(ConfigError):
             joint_pdf("not a config", prof, [1.0, 1.0])
+        for point in (["1.0", True], [True, False], [1.0, 10**400]):
+            with pytest.raises(DomainError):
+                joint_pdf(cfg, prof, point)
 
 
 class TestBivariatePdf:

@@ -141,6 +141,12 @@ class TestRunSweep:
         rows = run_sweep(spec, BASE)
         assert rows[0].nlcr == pytest.approx(rows[1].nlcr, rel=1e-8)
 
+    def test_arguments_checked(self):
+        spec = SweepSpec(thresholds=(1.0,), n_list=(2,), w_list=(0.3,), methods=("iid",))
+        for args in ((spec, "cfg"), (spec, None), ("spec", BASE), (BASE, spec)):
+            with pytest.raises(ConfigError):
+                run_sweep(*args)
+
 
 class TestCompareMethods:
     def test_identical_rows_zero_error(self):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from faslcr import lcr_analytic
+from faslcr import lcr_analytic, specfun
 from faslcr.channel_model import CorrelationProfile, FasConfig, correlation_profile
 from faslcr.errors import AccuracyError, ConfigError, DomainError, SingularityError
 from faslcr.lcr_analytic import (
@@ -85,6 +85,8 @@ class TestLcrIid:
             lcr_iid(FasConfig(2, 0.0), 0.0)
         with pytest.raises(DomainError):
             lcr_iid(FasConfig(2, 0.0), math.inf)
+        with pytest.raises(DomainError):
+            lcr_iid(FasConfig(2, 0.0), 10**400)
 
 
 class TestLcrIdentical:
@@ -270,6 +272,9 @@ class TestSurvivingProduct:
             surviving_product("not a config", prof, 0.5, 1.0, skip_index=1)
         assert surviving_product(cfg, prof, 0.5, 1.0, skip_index=np.int64(2)) == (
             surviving_product(cfg, prof, 0.5, 1.0, skip_index=2))
+        for x1 in ("0.5", True, [True, False], np.array([0.5], dtype=object)):
+            with pytest.raises(DomainError):
+                surviving_product(cfg, prof, x1, 1.0, 1)
 
 
 class TestTheorem1:
@@ -486,12 +491,12 @@ class TestKronrodRule:
     def test_one_marcum_call_per_round(self, monkeypatch, n, w, x_th):
         # the reference-port factors F_k(x_th) ride on the first round's call
         marcum_calls, rounds = [], []
-        marcum_q1 = lcr_analytic.marcum_q1
+        marcum_kernel = lcr_analytic._marcum_kernel
         integrate_adaptive = lcr_analytic._integrate_adaptive
 
         def marcum_spy(*args, **kwargs):
             marcum_calls.append(args)
-            return marcum_q1(*args, **kwargs)
+            return marcum_kernel(*args, **kwargs)
 
         def integrate_spy(f, lo, hi, quad):
             def recorded(x):
@@ -499,12 +504,39 @@ class TestKronrodRule:
                 return f(x)
             return integrate_adaptive(recorded, lo, hi, quad)
 
-        monkeypatch.setattr(lcr_analytic, "marcum_q1", marcum_spy)
+        monkeypatch.setattr(lcr_analytic, "_marcum_kernel", marcum_spy)
         monkeypatch.setattr(lcr_analytic, "_integrate_adaptive", integrate_spy)
         cfg = FasConfig(n, w)
         lcr_theorem1(cfg, correlation_profile(cfg), x_th)
         assert len(rounds) >= 1
         assert len(marcum_calls) == len(rounds)
+
+    @pytest.mark.parametrize("n", [2, 8])
+    @pytest.mark.parametrize("w", [0.1, 0.3])
+    @pytest.mark.parametrize("x_th", [0.05, 1.758, 2.534])
+    def test_one_scaled_i0_per_round(self, monkeypatch, n, w, x_th):
+        # the Marcum kernel and the integrand share one I0~(xi) per round,
+        # also in rounds with elements on the Bessel-series route, which reads it
+        i0_args, rounds = [], []
+        integrate_adaptive = lcr_analytic._integrate_adaptive
+
+        def integrate_spy(f, lo, hi, quad):
+            def recorded(x):
+                rounds.append(x.size)
+                return f(x)
+            return integrate_adaptive(recorded, lo, hi, quad)
+
+        for module in (specfun, lcr_analytic):
+            def i0_spy(x, i0=module.bessel_i0_scaled):
+                i0_args.append(np.asarray(x))
+                return i0(x)
+            monkeypatch.setattr(module, "bessel_i0_scaled", i0_spy)
+        monkeypatch.setattr(lcr_analytic, "_integrate_adaptive", integrate_spy)
+        cfg = FasConfig(n, w)
+        lcr_theorem1(cfg, correlation_profile(cfg), x_th)
+        assert len(rounds) >= 1
+        assert len(i0_args) == len(rounds)
+        assert any(np.any(xi <= specfun._TEMME_XI) for xi in i0_args)
 
 
 class TestQuadratureSpec:

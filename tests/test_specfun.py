@@ -65,6 +65,28 @@ class TestBesselJ0:
         with pytest.raises(DomainError):
             bessel_j0(bad)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (1.0, 2.0), (2.0, 4.0), (4.0, 6.0),
+                                        (6.0, 8.0), (0.0, 8.0)])
+    def test_sized_series_matches_early_exit(self, lo, hi):
+        # the series sized by max |x| against the sum stopped once every term
+        # is below 1e-17 of its total, both zeros of J0 below 8 included
+        def early_exit(ax):
+            z = -0.25 * ax * ax
+            term = np.ones_like(z)
+            total = np.ones_like(z)
+            for m in range(1, 40):
+                term = term * z / (m * m)
+                total = total + term
+                if np.all(np.abs(term) <= 1e-17 * np.abs(total)):
+                    break
+            return total
+
+        xs = np.linspace(lo, hi, 20001)[1:]
+        want = early_exit(xs)
+        assert np.array_equal(bessel_j0(xs), want)
+        assert np.array_equal(bessel_j0(-xs), want)
+        assert specfun._series_length(specfun._J0_LENGTHS, hi) < 40
+
 
 class TestBesselI0Scaled:
     def test_at_zero(self):
@@ -114,6 +136,9 @@ class TestBesselI0Scaled:
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
             bessel_i0_scaled(math.nan)
+        for bad in (True, np.array([0.5, 1.0]) > 0.7, "1.0", 10**400, 1j):
+            with pytest.raises(DomainError):
+                bessel_i0_scaled(bad)
 
 
 class TestMarcumQ1:
@@ -193,6 +218,10 @@ class TestMarcumQ1:
             marcum_q1(1.0, -1.0)
         with pytest.raises(DomainError):
             marcum_q1(math.nan, 1.0)
+        for a, b in (("1.0", True), (1.0, True), (["1.0"], 1.0),
+                     (np.array([1.0], dtype=object), 1.0)):
+            with pytest.raises(DomainError):
+                marcum_q1(a, b)
 
 
 class TestMarcumBesselSeries:
@@ -291,6 +320,23 @@ class TestMarcumBesselSeries:
         assert np.all(a * b <= specfun._TEMME_XI)
         assert marcum_q1(a, b) == pytest.approx(q, rel=2e-15, abs=0.0)
         assert marcum_q1(a, b, DEFAULT_TOLERANCE, True) == pytest.approx(p, rel=2e-15, abs=0.0)
+
+    @pytest.mark.parametrize("lo, hi, terms", [
+        (0.0, 1.0, 17), (1.0, 2.0, 21), (2.0, 4.0, 26), (4.0, 8.0, 33), (8.0, 12.0, 39),
+        (12.0, 16.0, 43), (16.0, 20.0, 47), (20.0, 30.0, 48),
+    ])
+    def test_sized_series_matches_48_terms(self, monkeypatch, lo, hi, terms):
+        # a call sums the terms its largest xi needs; beyond xi = 20, reached
+        # here with Temme's expansion switched off, it keeps all 48
+        monkeypatch.setattr(specfun, "_TEMME_XI", math.inf)
+        assert specfun._series_length(specfun._BESSEL_LENGTHS, hi) == terms
+        xi = np.linspace(lo, hi, 101)[1:, None]
+        rho = np.concatenate([np.geomspace(1e-6, 1e6, 97), np.linspace(2 / 3, 1.5, 64)])
+        a, b = np.sqrt(xi / rho).ravel(), np.sqrt(xi * rho).ravel()
+        sized = [marcum_q1(a, b, DEFAULT_TOLERANCE, side) for side in (False, True)]
+        monkeypatch.setattr(specfun, "_BESSEL_LENGTHS", ((math.inf, 48),))
+        for side, got in zip((False, True), sized):
+            assert np.array_equal(got, marcum_q1(a, b, DEFAULT_TOLERANCE, side))
 
 
 def _dyadic(x):
