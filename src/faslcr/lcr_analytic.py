@@ -17,11 +17,12 @@ The first term covers the reference port carrying the maximum, and summand
 i covers port i doing so.  The N - 1 factors are computed once per
 quadrature node, every P_{-i} comes from prefix and suffix products of them,
 and the summed integrand is integrated in one adaptive pass, so the Marcum
-work per node grows like N rather than N^2.  The pass starts from four
-panels, and its first round also evaluates the factors at x1 = x_th for the
-first term, so a point makes exactly one Marcum kernel call per quadrature
-round.  g_i reuses the scaled I0 that the kernel takes, as its argument is
-that of the Marcum factor, xi = a_i x1 b_i.
+work per node grows like N rather than N^2.  Summand i has a boundary layer
+at x1 = x_th, of width ~sqrt(s_i), so the pass starts from five panels
+graded toward x_th.  Its first round also evaluates the factors at
+x1 = x_th for the first term, so a point makes exactly one Marcum kernel
+call per quadrature round.  g_i reuses the scaled I0 that the kernel takes,
+as its argument is that of the Marcum factor, xi = a_i x1 b_i.
 Three special cases collapse to closed forms:
 
 * all correlations zero  -> the i.i.d. selection-combining rate,
@@ -61,8 +62,9 @@ class QuadratureSpec:
     """Adaptive-quadrature budget for the inner integral of the exact rate.
 
     ``max_subdivisions`` caps the panel count less one.  The quadrature
-    starts from four equal panels, and those three starting cuts count as
-    subdivisions, so a cap below 3 raises ``AccuracyError`` at every point.
+    starts from five panels graded toward the upper limit, and those four
+    starting cuts count as subdivisions, so a cap below 4 raises
+    ``AccuracyError`` at every point.
     """
 
     abs_eps: float = 1e-12
@@ -125,11 +127,14 @@ def _kronrod_table():
 
 _KRONROD_NODES, _KRONROD_WEIGHTS = _kronrod_table()
 
-# Equal panels the adaptive quadrature starts from.  A round costs mostly
-# the fixed overhead of its one integrand call, whatever its node count, and
-# most theorem1 points would bisect a single starting panel at least once;
-# starting from four spares those early rounds.
-_INITIAL_PANELS = 4
+# Edges of the panels the adaptive quadrature starts from, as fractions of
+# [lo, hi]: each panel halves the one before, toward hi.  A round costs
+# mostly the fixed overhead of its one integrand call, whatever its node
+# count.  The theorem1 summands carry exp(-(x_th - |mu_i| x1)^2 / s_i), a
+# boundary layer at x1 = x_th whose width shrinks like sqrt(1 - mu_i^2), so
+# bisection of equal panels would spend its extra rounds halving the last
+# panel toward x_th; the graded start makes those cuts up front.
+_INITIAL_EDGES = (0.0, 0.5, 0.75, 0.875, 0.9375, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +144,8 @@ _INITIAL_PANELS = 4
 def _integrate_adaptive(f, lo, hi, quad):
     """Integrate a smooth vectorised integrand over [lo, hi] adaptively.
 
-    The interval starts as ``_INITIAL_PANELS`` equal panels, and the cuts
+    The interval starts as the panels of ``_INITIAL_EDGES``, graded toward
+    ``hi`` where the theorem1 integrand has its boundary layer, and the cuts
     between them count as subdivisions against ``quad.max_subdivisions``.
     Each panel is evaluated at the 21 nodes of the Gauss-Kronrod rule: the
     K21 value is kept and |K21 - G10|, from the 10-point Gauss rule on every
@@ -150,10 +156,10 @@ def _integrate_adaptive(f, lo, hi, quad):
     if hi <= lo:
         return 0.0
     width = hi - lo
-    edges = np.linspace(lo, hi, _INITIAL_PANELS + 1)
+    edges = lo + width * np.array(_INITIAL_EDGES)
     a, b = edges[:-1], edges[1:]
     accepted = 0.0
-    splits = _INITIAL_PANELS - 1
+    splits = len(_INITIAL_EDGES) - 2
     scale = None
     while a.size:
         half = 0.5 * (b - a)

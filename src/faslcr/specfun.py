@@ -83,9 +83,12 @@ _BESSEL_SPLIT = 8.0
 
 def _as_float_array(x, name):
     """(float ndarray, was_scalar); DomainError unless x has an integer or real
-    dtype (no bool, string or object) and is finite everywhere."""
+    dtype (no bool, string or object) and is finite everywhere.  A list that
+    mixes bools with numbers converts to a real dtype, so the elements of an
+    input that is not already an ndarray are checked for bools one by one."""
     arr = np.asarray(x)
-    if arr.dtype.kind not in "iuf":
+    if arr.dtype.kind not in "iuf" or (not isinstance(x, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(x, dtype=object).flat)):
         raise DomainError(f"{name} must be real numbers, got {x!r}")
     arr = arr.astype(float, copy=False)
     if not np.all(np.isfinite(arr)):

@@ -201,3 +201,35 @@ def n_port_lcr_bruteforce(sigma2, mus, x_th, fd=1.0):
     else:
         raise ValueError("brute-force oracle implemented for N <= 3 only")
     return math.sqrt(math.pi / 2.0) * sigma * fd * total
+
+
+def theorem1_graded_quad(sigma2, mus, x_th, fd=1.0):
+    """The exact N-port rate with scipy's quad of the summed integrand, on
+    the panels [x_th (1 - 2^-k), x_th (1 - 2^-(k+1))], k < 12, and
+    [x_th (1 - 2^-12), x_th].
+
+    Summand i carries exp(-(x_th - |mu_i| x1)^2 / s_i), a boundary layer at
+    x1 = x_th of width ~sqrt(s_i); the breakpoints resolve it for quad.
+    Every factor 1 - Q1 is scipy's noncentral chi-square CDF, as in
+    ``theorem1_ncx2_per_term``, so neither faslcr's quadrature nor its
+    Marcum kernel is used.
+    """
+    mu = np.abs(np.asarray(mus[1:], dtype=float))
+    s = sigma2 * (1.0 - mu * mu)
+
+    def factors(x1):
+        return stats.ncx2.cdf(2.0 * x_th * x_th / s, 2, 2.0 * mu * mu * x1 * x1 / s)
+
+    def f(x1):
+        fk = factors(x1)
+        leave_out = (np.concatenate([[1.0], np.cumprod(fk[:-1])])
+                     * np.concatenate([np.cumprod(fk[:0:-1])[::-1], [1.0]]))
+        v = 2.0 * mu * x_th * x1 / s
+        g = special.i0e(v) * np.exp(v - (x_th * x_th + x1 * x1) / s) / (1.0 - mu * mu)
+        return 2.0 * x1 / sigma2 * float(np.sum(g * leave_out))
+
+    edges = [x_th * (1.0 - 2.0 ** -k) for k in range(13)] + [x_th]
+    second = sum(integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                 for lo, hi in zip(edges[:-1], edges[1:]))
+    first = math.exp(-x_th * x_th / sigma2) * float(np.prod(factors(x_th)))
+    return math.sqrt(2.0 * math.pi) * x_th * fd / math.sqrt(sigma2) * (first + second)

@@ -175,7 +175,7 @@ class TestJointPdf:
             joint_pdf(cfg, correlation_profile(FasConfig(3, 0.1)), [1.0, 1.0, 1.0])
         with pytest.raises(ConfigError):
             joint_pdf("not a config", prof, [1.0, 1.0])
-        for point in (["1.0", True], [True, False], [1.0, 10**400]):
+        for point in (["1.0", True], [True, False], [1.0, 10**400], [1.0, True]):
             with pytest.raises(DomainError):
                 joint_pdf(cfg, prof, point)
 

@@ -10,7 +10,7 @@ from faslcr import lcr_analytic, specfun
 from faslcr.channel_model import CorrelationProfile, FasConfig, correlation_profile
 from faslcr.errors import AccuracyError, ConfigError, DomainError, SingularityError
 from faslcr.lcr_analytic import (
-    _INITIAL_PANELS,
+    _INITIAL_EDGES,
     _KRONROD_NODES,
     _KRONROD_WEIGHTS,
     DEFAULT_QUADRATURE,
@@ -28,6 +28,7 @@ from oracles import (
     n_port_lcr_bruteforce,
     pair_density,
     rayleigh_lcr,
+    theorem1_graded_quad,
     theorem1_ncx2_per_term,
     theorem1_per_term,
     two_port_lcr_ncx2,
@@ -272,7 +273,7 @@ class TestSurvivingProduct:
             surviving_product("not a config", prof, 0.5, 1.0, skip_index=1)
         assert surviving_product(cfg, prof, 0.5, 1.0, skip_index=np.int64(2)) == (
             surviving_product(cfg, prof, 0.5, 1.0, skip_index=2))
-        for x1 in ("0.5", True, [True, False], np.array([0.5], dtype=object)):
+        for x1 in ("0.5", True, [True, False], np.array([0.5], dtype=object), [0.5, False]):
             with pytest.raises(DomainError):
                 surviving_product(cfg, prof, x1, 1.0, 1)
 
@@ -364,6 +365,17 @@ class TestTheorem1:
         want = theorem1_ncx2_per_term(1.0, prof.mu, x_th)
         assert lcr_theorem1(cfg, prof, x_th) == pytest.approx(want, rel=1e-8)
 
+    @pytest.mark.parametrize("n, w", [(8, 0.05), (16, 0.1), (32, 0.1), (64, 0.3)])
+    def test_high_correlation_against_graded_quad(self, n, w):
+        # neighbour correlations of 0.9995 to 0.9999 put a boundary layer of
+        # width ~0.01-0.03 at x1 = x_th; the oracle is scipy's quad on dyadic
+        # breakpoints toward x_th, with scipy's factors
+        cfg = FasConfig(n, w, sigma2=1.0, f_doppler=1.0)
+        prof = correlation_profile(cfg)
+        for x_th in (0.05, 0.4, 1.2, 2.534, 3.0):
+            want = theorem1_graded_quad(1.0, prof.mu, x_th)
+            assert lcr_theorem1(cfg, prof, x_th) == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_doppler_linearity(self):
         cfg1 = FasConfig(3, 0.2, sigma2=1.0, f_doppler=1.0)
         cfg7 = FasConfig(3, 0.2, sigma2=1.0, f_doppler=7.0)
@@ -418,19 +430,20 @@ class TestTheorem1:
         (1, 0.0, 1.0), (2, 0.3, 0.05), (4, 0.3, 1.2), (8, 0.1, 1.758), (12, 0.3, 3.0),
     ])
     def test_starting_cuts_count_as_subdivisions(self, n, w, x_th):
-        # four starting panels are three subdivisions, so a cap of 2 is
+        # five starting panels are four subdivisions, so caps of 2 and 3 are
         # exceeded by the first round at every point, converged or not
         cfg = FasConfig(n, w)
         prof = correlation_profile(cfg)
-        with pytest.raises(AccuracyError) as exc:
-            lcr_theorem1(cfg, prof, x_th, QuadratureSpec(max_subdivisions=2))
-        assert exc.value.partial == pytest.approx(lcr_theorem1(cfg, prof, x_th), rel=1e-6)
+        for cap in (2, 3):
+            with pytest.raises(AccuracyError) as exc:
+                lcr_theorem1(cfg, prof, x_th, QuadratureSpec(max_subdivisions=cap))
+            assert exc.value.partial == pytest.approx(lcr_theorem1(cfg, prof, x_th), rel=1e-6)
 
-    def test_cap_of_three_admits_the_starting_panels(self):
+    def test_cap_of_four_admits_the_starting_panels(self):
         # a one-port rate has a zero integral: the starting panels all converge
         cfg = FasConfig(1, 0.0)
         prof = correlation_profile(cfg)
-        got = lcr_theorem1(cfg, prof, 1.0, QuadratureSpec(max_subdivisions=3))
+        got = lcr_theorem1(cfg, prof, 1.0, QuadratureSpec(max_subdivisions=4))
         assert got == lcr_theorem1(cfg, prof, 1.0)
 
 
@@ -468,19 +481,19 @@ class TestKronrodRule:
             return integrate_adaptive(recorded, lo, hi, quad)
 
         monkeypatch.setattr(lcr_analytic, "_integrate_adaptive", spy)
-        cfg = FasConfig(6, 0.1)
+        cfg = FasConfig(16, 0.05)
         lcr_theorem1(cfg, correlation_profile(cfg), 2.534)   # a point that splits
         assert len(calls) > 2
         for r, x in enumerate(calls):
             panels = x.reshape(-1, 21)
-            assert len(panels) == _INITIAL_PANELS if r == 0 else len(panels) % 2 == 0
+            assert len(panels) == len(_INITIAL_EDGES) - 1 if r == 0 else len(panels) % 2 == 0
             mid = 0.5 * (panels[:, 0] + panels[:, -1])
             half = (panels[:, -1] - panels[:, 0]) / (2.0 * _KRONROD_NODES[-1])
             assert panels == pytest.approx(mid[:, None] + half[:, None] * _KRONROD_NODES,
                                            rel=0.0, abs=1e-14)
-        # round 0: the equal panels with edges k x_th / 4, k = 0..4
-        assert _INITIAL_PANELS == 4
-        edges = np.arange(5) * (2.534 / 4)
+        # round 0: the panels graded toward x_th, edges x_th (0, 1/2, 3/4, 7/8, 15/16, 1)
+        assert _INITIAL_EDGES == (0.0, 0.5, 0.75, 0.875, 0.9375, 1.0)
+        edges = 2.534 * np.array(_INITIAL_EDGES)
         lo, hi = edges[:-1, None], edges[1:, None]
         want = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _KRONROD_NODES
         assert calls[0] == pytest.approx(want.ravel(), rel=1e-15)
@@ -510,6 +523,25 @@ class TestKronrodRule:
         lcr_theorem1(cfg, correlation_profile(cfg), x_th)
         assert len(rounds) >= 1
         assert len(marcum_calls) == len(rounds)
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_dense_paper_grid_converges_in_one_round(self, monkeypatch, n):
+        # the graded starting panels resolve the boundary layer at x1 = x_th,
+        # so at W = 0.1 no point of the paper grid needs a second round
+        marcum_calls = []
+        marcum_kernel = lcr_analytic._marcum_kernel
+
+        def marcum_spy(*args, **kwargs):
+            marcum_calls.append(args)
+            return marcum_kernel(*args, **kwargs)
+
+        monkeypatch.setattr(lcr_analytic, "_marcum_kernel", marcum_spy)
+        cfg = FasConfig(n, 0.1)
+        prof = correlation_profile(cfg)
+        for x_th in PAPER_GRID:
+            marcum_calls.clear()
+            lcr_theorem1(cfg, prof, x_th)
+            assert len(marcum_calls) == 1, x_th
 
     @pytest.mark.parametrize("n", [2, 8])
     @pytest.mark.parametrize("w", [0.1, 0.3])

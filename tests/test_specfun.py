@@ -219,7 +219,7 @@ class TestMarcumQ1:
         with pytest.raises(DomainError):
             marcum_q1(math.nan, 1.0)
         for a, b in (("1.0", True), (1.0, True), (["1.0"], 1.0),
-                     (np.array([1.0], dtype=object), 1.0)):
+                     (np.array([1.0], dtype=object), 1.0), ([1.0, True], 1.0)):
             with pytest.raises(DomainError):
                 marcum_q1(a, b)
 
