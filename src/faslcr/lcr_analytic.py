@@ -56,6 +56,15 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
+# Thresholds from this many sigma up have a crossing rate of exactly 0.0.
+# Every rate here is at most sqrt(2 pi) (x/sigma) f_D e^(-x^2/sigma^2)
+# (1 + sum_i x^2/(sigma^2 (1 - mu_i^2))), with 1 - mu_i^2 > 2e-9 below the
+# identical-channel cutoff, and from 40 sigma on that bound is below the
+# smallest subnormal for any f_D; the formulas themselves would overflow
+# there (x f_D/sigma, or the Marcum arguments).  At 27 sigma rates are still
+# subnormal.
+_ZERO_RATE_SIGMAS = 40.0
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -198,6 +207,8 @@ def lcr_iid(cfg, x_th):
     """
     _check_config(cfg)
     x_th = _validate_threshold(x_th)
+    if x_th >= _ZERO_RATE_SIGMAS * cfg.sigma:
+        return 0.0
     rho2 = x_th * x_th / cfg.sigma2
     cdf = -math.expm1(-rho2)
     return (
@@ -210,6 +221,8 @@ def lcr_identical(cfg, x_th):
     """Crossing rate with fully correlated ports; independent of the port count."""
     _check_config(cfg)
     x_th = _validate_threshold(x_th)
+    if x_th >= _ZERO_RATE_SIGMAS * cfg.sigma:
+        return 0.0
     rho2 = x_th * x_th / cfg.sigma2
     return _SQRT_2PI / cfg.sigma * cfg.f_doppler * x_th * math.exp(-rho2)
 
@@ -276,6 +289,8 @@ def lcr_theorem1(cfg, profile, x_th, quad=DEFAULT_QUADRATURE):
     """
     x_th = _validate_threshold(x_th)
     _check_profile(cfg, profile)
+    if x_th >= _ZERO_RATE_SIGMAS * cfg.sigma:
+        return 0.0
     sigma2 = cfg.sigma2
     mu = np.abs(np.asarray(profile.mu[1:], dtype=float))[:, None]
     s = sigma2 * (1.0 - mu * mu)
@@ -337,6 +352,8 @@ def lcr_two_port_series(cfg, mu, x_th, tol=DEFAULT_TOLERANCE):
     _check_config(cfg)
     x_th = _validate_threshold(x_th)
     mu = _validate_mu(mu)
+    if x_th >= _ZERO_RATE_SIGMAS * cfg.sigma:
+        return 0.0
     rho2 = x_th * x_th / cfg.sigma2
     prefactor = 2.0 * _SQRT_2PI * cfg.f_doppler * (x_th / cfg.sigma) * math.exp(-rho2)
     y = rho2 / (1.0 - mu * mu)

@@ -49,17 +49,20 @@ crossing count has.)
 is, so the processes of a smaller port count are the leading rows of those
 of a larger one.  The walk takes the block rows in chunks of about
 _CHUNK_SAMPLES samples.  Per chunk it synthesizes the largest N's 2N rows
-once, into one buffer allocated for the whole run, and every config selects
-and counts from its leading rows.  Selection is fused: a running maximum of
-the port powers p_k = re_k^2 + im_k^2, then one sqrt and one scale by sigma
-per sample.  fl(sqrt) and multiplication by sigma > 0 are monotone, so this
-is bit-equal to selecting among the port envelopes.  Counting ranks each
-sample against all the sorted thresholds at once; a step down from rank h
-to rank h' crosses exactly the thresholds of rank h' .. h - 1.  The last
-selected sample of each chunk is prepended to the next chunk, so the step
-across a chunk boundary is an ordinary step.  Memory is set by the chunk
-and the right factors, not by the duration or the number of configs, and
-the counts equal those of the whole series.
+once, into one buffer allocated for the whole run.  It then cuts the chunk
+into tiles of _TILE_SAMPLES samples, the last one ragged, and every config
+selects and counts each tile from its leading rows, so the selection and
+counting buffers are tile-length and stay in L2 cache.  Selection is fused:
+a running maximum of the port powers p_k = re_k^2 + im_k^2, then one sqrt
+and one scale by sigma per sample.  fl(sqrt) and multiplication by
+sigma > 0 are monotone, so this is bit-equal to selecting among the port
+envelopes.  Counting ranks each sample against all the sorted thresholds at
+once; a step down from rank h to rank h' crosses exactly the thresholds of
+rank h' .. h - 1.  Each config's last selected sample of a tile is
+prepended to its next tile, in the same chunk or the next one, so the step
+across a tile or chunk boundary is an ordinary step.  Memory is set by the
+chunk and the right factors, not by the duration or the number of configs,
+and the counts equal those of the whole series.
 
 Seeding expands a 64-bit root seed into one substream per process via
 counter-keyed seed sequences: stream 2j drives x_j and stream 2j+1 drives
@@ -80,6 +83,13 @@ from .errors import ConfigError, _is_finite_number, _is_whole_number
 
 # Samples per streamed chunk of estimate_lcr (whole blocks, so about this).
 _CHUNK_SAMPLES = 1 << 16
+# Samples per tile within a chunk that estimate_lcr selects and counts over.
+# A tile's selection scratch then stays in a 2 MiB L2.  Against whole-chunk
+# selection on a 2-core Xeon (medians of two rounds of 15 and 21 interleaved
+# runs), 2^15 took 0.5-3.6% less time on one-config walks of N = 2 and 4 and
+# 10-11% less on the 15-config N = 2..16 walk; 2^14 took 6-10% less on the
+# latter but up to 2% more on the former, and 2^13 more on both.
+_TILE_SAMPLES = 1 << 15
 
 __all__ = [
     "SimParams",
@@ -288,8 +298,8 @@ def _component_processes(cfg, sim):
     right_fine = fine(-sim.dt, block)
     right = np.empty((len(rngs), 2 * m, block))
     for p in range(len(rngs)):
-        right[p] = _angle_rows(omegas[p], -sim.dt, right_fine[p], 0, block).view(np.float64).T
-    right *= math.sqrt(1.0 / m)
+        np.multiply(_angle_rows(omegas[p], -sim.dt, right_fine[p], 0, block).view(np.float64).T,
+                    math.sqrt(1.0 / m), out=right[p])
     return _ProcessBank(omegas, block * sim.dt, fine(block * sim.dt, n_blocks, phases), right)
 
 
@@ -494,9 +504,9 @@ def estimate_lcr(cfg, sim, thresholds):
         bounds = [n_blocks * i // n_chunks for i in range(n_chunks + 1)]
         rows = max(2, *(stop - first for first, stop in zip(bounds, bounds[1:])))
         synthesis = np.empty(len(bank.right) * rows * block)
-        # Slot 0 of ``selected`` holds the previous chunk's last selected sample.
-        selected = np.empty(rows * block + 1)
-        scratch = [np.empty(rows * block) for _ in range(3)]
+        # Slot 0 of ``selected`` holds the previous tile's last selected sample.
+        selected = np.empty(_TILE_SAMPLES + 1)
+        scratch = [np.empty(_TILE_SAMPLES) for _ in range(3)]
         rank = np.empty(selected.size, np.min_scalar_type(len(thresholds)))
         mask = np.empty(selected.size, bool)
         order = np.argsort(thresholds, kind="stable")
@@ -504,15 +514,18 @@ def estimate_lcr(cfg, sim, thresholds):
         carried = np.empty(len(cfgs))
         for first, stop in zip(bounds, bounds[1:]):
             base = _synthesize(bank, sim, first, stop, synthesis)
-            size = base.x.shape[1]
-            head = 1 if first == 0 else 0
-            for i, (c, profile) in enumerate(zip(cfgs, profiles)):
-                _select(base, c.sigma, profile.mu, selected[1:size + 1],
-                        [b[:size] for b in scratch])
-                selected[0] = carried[i]
-                crossings[i, order] += _down_crossings(selected[head:size + 1], ascending,
-                                                       rank, mask)
-                carried[i] = selected[size]
+            for lo in range(0, base.x.shape[1], _TILE_SAMPLES):
+                tile = BaseProcesses(x=base.x[:, lo:lo + _TILE_SAMPLES],
+                                     y=base.y[:, lo:lo + _TILE_SAMPLES], dt=sim.dt)
+                size = tile.x.shape[1]
+                head = 1 if first == 0 and lo == 0 else 0
+                for i, (c, profile) in enumerate(zip(cfgs, profiles)):
+                    _select(tile, c.sigma, profile.mu, selected[1:size + 1],
+                            [b[:size] for b in scratch])
+                    selected[0] = carried[i]
+                    crossings[i, order] += _down_crossings(selected[head:size + 1], ascending,
+                                                           rank, mask)
+                    carried[i] = selected[size]
     duration = sim.n_samples * sim.dt
     estimates = [[_estimate(x, int(n), duration, c.f_doppler) for x, n in zip(thresholds, row)]
                  for c, row in zip(cfgs, crossings)]

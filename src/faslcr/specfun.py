@@ -231,6 +231,10 @@ def _i0_scaled_large(ax):
 # Marcum Q1
 # ---------------------------------------------------------------------------
 
+# Largest argument ``marcum_q1`` hands to the kernel; (1e150)^2 is finite.
+_MARCUM_HUGE = 1e150
+
+
 def marcum_q1(a, b, tol=DEFAULT_TOLERANCE, complement=False):
     """First-order Marcum Q-function Q1(a, b) for a, b >= 0, or 1 - Q1(a, b)
     if ``complement``.
@@ -240,18 +244,27 @@ def marcum_q1(a, b, tol=DEFAULT_TOLERANCE, complement=False):
     (``_bessel_small_side``).  Each route returns the side that is small,
     and only the other side is formed as 1 minus it, so Q1 and 1 - Q1 both
     stay exact where they are small; sides below the double range come out
-    0.  No route can run out of terms; ``tol`` is accepted for compatibility
-    and not read.
+    0.  Where a or b exceeds _MARCUM_HUGE the limit is returned: 1/2 for
+    a = b, and otherwise 0 or 1 by which argument is the larger.  No route
+    can run out of terms; ``tol`` is accepted for compatibility and not read.
     """
     a_arr, a_scalar = _as_float_array(a, "a")
     b_arr, b_scalar = _as_float_array(b, "b")
     if np.any(a_arr < 0.0) or np.any(b_arr < 0.0):
         raise DomainError("marcum_q1 requires a >= 0 and b >= 0")
     a_arr, b_arr = np.broadcast_arrays(a_arr, b_arr)
+    # Beyond _MARCUM_HUGE, where the kernel's ab and (b - a)^2 can overflow,
+    # two unequal doubles differ by more than 1e134, so the small side is 0,
+    # and on the diagonal Q1 = 1/2 + O(1/a) rounds to 1/2.  Those elements
+    # take the limit, and the kernel gets (0, 0) in their place.
+    huge = np.maximum(a_arr, b_arr) > _MARCUM_HUGE
+    limit = 0.5 + 0.5 * np.sign(b_arr - a_arr if complement else a_arr - b_arr)
+    a_arr, b_arr = np.where(huge, 0.0, a_arr), np.where(huge, 0.0, b_arr)
     xi = a_arr * b_arr
-    # Temme's route reads no I0, and its xi may overflow to inf
+    # Temme's route reads no I0
     i0 = np.asarray(bessel_i0_scaled(np.where(xi <= _TEMME_XI, xi, 0.0)))
-    return _restore(_marcum_kernel(a_arr, b_arr, i0, complement), a_scalar and b_scalar)
+    return _restore(np.where(huge, limit, _marcum_kernel(a_arr, b_arr, i0, complement)),
+                    a_scalar and b_scalar)
 
 
 def _marcum_kernel(a, b, i0, complement):

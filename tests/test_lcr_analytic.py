@@ -125,6 +125,21 @@ def test_rates_refuse_a_non_config(rate):
         rate("not a config")
 
 
+@pytest.mark.parametrize("f_doppler", [1.0, 1e300])
+@pytest.mark.parametrize("sigmas", [40.0, 1e3, 1e100, 1e300])
+@pytest.mark.parametrize("rate", [
+    lambda cfg, x: lcr_iid(cfg, x),
+    lambda cfg, x: lcr_identical(cfg, x),
+    lambda cfg, x: lcr_two_port_series(cfg, 0.5, x),
+    lambda cfg, x: lcr_theorem1(cfg, correlation_profile(cfg), x),
+], ids=["iid", "identical", "two_port_series", "theorem1"])
+def test_rates_vanish_from_forty_sigma(rate, sigmas, f_doppler):
+    # below the smallest subnormal there; x_th f_D/sigma and the Marcum
+    # arguments would overflow
+    cfg = FasConfig(4, 0.3, sigma2=2.0, f_doppler=f_doppler)
+    assert rate(cfg, sigmas * cfg.sigma) == 0.0
+
+
 class TestTwoPortSeries:
     def test_mu_zero_is_two_port_iid(self):
         cfg = FasConfig(2, 0.1, sigma2=1.4, f_doppler=2.5)

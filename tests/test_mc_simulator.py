@@ -383,6 +383,38 @@ class TestRankCounting:
         got = [e.crossings for e in estimate_lcr(cfg, sim, thresholds)]
         assert got == [_crossings_by_rule(s, x) for x in thresholds]
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_walk_matches_the_rule_across_tiles(self, n, monkeypatch):
+        # thresholds equal to the samples on each side of every tile boundary
+        # inside a chunk, and one between the two samples of each downward
+        # step across one; blocks of 366 samples, so no such boundary is a
+        # block boundary, and the last tile is ragged
+        cfg = FasConfig(n, 0.3)
+        sim = SimParams(sample_rate=64.0, duration=2100.3, seed=29)
+        tile = mc_simulator._TILE_SAMPLES
+        chunks = []
+        synthesize = mc_simulator._synthesize
+
+        def recorded(bank, sim, first, stop, out=None):
+            chunks.append(first)
+            return synthesize(bank, sim, first, stop, out)
+
+        monkeypatch.setattr(mc_simulator, "_synthesize", recorded)
+        s = fas_select(assemble_port_envelopes(cfg, correlation_profile(cfg),
+                                               generate_base_processes(cfg, sim))).samples
+        block, _ = _block_layout(sim.n_samples)
+        estimate_lcr(cfg, sim, [1.0])
+        starts = [first * block for first in chunks] + [sim.n_samples]
+        edges = np.array([e for lo, hi in zip(starts, starts[1:])
+                          for e in range(lo + tile, hi, tile)])
+        down = edges[s[edges - 1] > s[edges]]
+        assert down.size and np.all(edges % block) and (sim.n_samples - starts[-2]) % tile
+        thresholds = [1.5, 0.3, 1.0,
+                      *(float(v) for v in s[edges - 1]), *(float(v) for v in s[edges]),
+                      *(float(v) for v in 0.5 * (s[down - 1] + s[down]))]
+        got = [e.crossings for e in estimate_lcr(cfg, sim, thresholds)]
+        assert got == [_crossings_by_rule(s, x) for x in thresholds]
+
     def test_more_thresholds_than_a_byte_holds(self):
         cfg = FasConfig(2, 0.3)
         sim = SimParams.from_cycles(cfg, duration_cycles=200, seed=3)

@@ -202,6 +202,17 @@ class TestMarcumQ1:
         assert np.all(marcum_q1(a, b + delta) <= q + 1e-14)       # nonincreasing in b
         assert np.all(marcum_q1(a + delta, b) >= q - 1e-14)       # nondecreasing in a
 
+    @pytest.mark.parametrize("a,b,q", [
+        (1e200, 1e200, 0.5), (1.7e308, 1.7e308, 0.5),      # ab overflows on the diagonal
+        (1e154, 1e155, 0.0), (1e155, 1e154, 1.0),           # ab and (b - a)^2 overflow
+        (0.0, 1e200, 0.0), (1e200, 0.0, 1.0), (1.0, 1e160, 0.0),     # (b - a)^2 overflows
+    ])
+    def test_limits_where_the_arguments_overflow(self, a, b, q):
+        assert marcum_q1(a, b) == q
+        assert marcum_q1(a, b, DEFAULT_TOLERANCE, True) == 1.0 - q
+        got = marcum_q1(np.array([a, 1.0]), np.array([b, 1.0]))
+        assert got[0] == q and got[1] == marcum_q1(1.0, 1.0)
+
     def test_vector_matches_scalar(self):
         # Temme's sum is a BLAS matrix product, whose rounding depends on the
         # array shape, so agreement is to rounding rather than bitwise
