@@ -35,7 +35,6 @@ from .harness import (
 )
 from .lcr_analytic import (
     DEFAULT_QUADRATURE,
-    SERIES_TOLERANCE,
     QuadratureSpec,
     lcr_identical,
     lcr_iid,
@@ -57,12 +56,10 @@ from .mc_simulator import (
     slope_moment_check,
 )
 from .specfun import (
-    DEFAULT_TOLERANCE,
-    Tolerance,
     bessel_i0_scaled,
     bessel_j0,
     lower_gamma_int,
     marcum_q1,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -162,6 +162,14 @@ def run_sweep(spec, base_cfg):
     return rows
 
 
+def _gate_value(name, value):
+    """``value``, a comparison gate's tolerance or NLCR floor; ConfigError
+    unless it is a finite number >= 0."""
+    if not (_is_finite_number(value) and value >= 0.0):
+        raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class MethodComparison:
     """Per-point relative errors of one method against a reference method."""
@@ -173,7 +181,7 @@ class MethodComparison:
     median_rel_error: float
 
     def exceeds(self, tolerance):
-        return self.median_rel_error > tolerance
+        return self.median_rel_error > _gate_value("tolerance", tolerance)
 
 
 def compare_methods(rows, reference_method=None, test_method="monte_carlo",
@@ -182,9 +190,11 @@ def compare_methods(rows, reference_method=None, test_method="monte_carlo",
 
     Pairs rows on (n, w, threshold); points whose reference NLCR does not
     exceed ``min_nlcr`` are ignored (relative error is meaningless in the
-    deep tails).  Raises ConfigError when the two methods are the same, when
-    either is missing, or when they share no grid points.
+    deep tails).  Raises ConfigError when ``min_nlcr`` is not a finite
+    number >= 0, when the two methods are the same, when either is missing,
+    or when they share no grid points.
     """
+    _gate_value("min_nlcr", min_nlcr)
     if reference_method == test_method:
         raise ConfigError(f"cannot compare {test_method!r} with itself")
     methods_present = {r.method for r in rows}
@@ -365,8 +375,9 @@ _OPTIONS = {
     "duration_cycles": (float, 1e4, None, "simulated duration times f_D (default 1e4)"),
     "sample_rate_mult": (float, 64.0, None, "sample rate divided by f_D (default 64)"),
     "out": (str, "-", None, "output CSV path ('-' for stdout, the default)"),
-    "tolerance": (float, 0.05, ("compare",), "median relative NLCR error allowed (default 0.05)"),
-    "min_nlcr": (float, 0.05, ("compare",),
+    "tolerance": (lambda text: _gate_value("--tolerance", float(text)), 0.05, ("compare",),
+                  "median relative NLCR error allowed (default 0.05)"),
+    "min_nlcr": (lambda text: _gate_value("--min-nlcr", float(text)), 0.05, ("compare",),
                  "ignore points with analytic NLCR at or below this (default 0.05)"),
 }
 

@@ -41,12 +41,11 @@ import numpy as np
 
 from .channel_model import _check_config, _check_profile, _validate_mu, _validate_threshold
 from .errors import AccuracyError, ConfigError, DomainError, _is_finite_number, _is_whole_number
-from .specfun import DEFAULT_TOLERANCE, _as_float_array, _marcum_kernel, bessel_i0_scaled, marcum_q1
+from .specfun import _as_float_array, _marcum_kernel, bessel_i0_scaled, marcum_q1
 
 __all__ = [
     "QuadratureSpec",
     "DEFAULT_QUADRATURE",
-    "SERIES_TOLERANCE",
     "lcr_theorem1",
     "lcr_iid",
     "lcr_identical",
@@ -91,10 +90,6 @@ class QuadratureSpec:
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
-
-# The two-port series' truncation control, kept as a public name; nothing
-# reads it now, since every Marcum series is sized by its arguments.
-SERIES_TOLERANCE = DEFAULT_TOLERANCE
 
 # The 21-point Gauss-Kronrod rule on [-1, 1] and the 10-point Gauss rule
 # embedded in it, as in QUADPACK's qk21 (Piessens et al., 1983): the
@@ -247,14 +242,13 @@ def _below_threshold_factors(cfg, profile, x1, x_th):
     return _marcum_kernel(a, b, i0, True), xi, i0
 
 
-def surviving_product(cfg, profile, x1, x_th, skip_index, tol=DEFAULT_TOLERANCE):
+def surviving_product(cfg, profile, x1, x_th, skip_index):
     """prod_{k>=2, k != skip_index} [1 - Q1(sqrt(2 mu_k^2/s_k) x1, sqrt(2/s_k) x_th)]
     with s_k = sigma^2 (1 - mu_k^2).
 
     Each factor is the probability that the bivariate pair (reference = x1,
     port k) stays below the threshold.  ``x1`` may be a vector; the result is
-    clipped into [0, 1].  ``tol`` is accepted for compatibility and not read:
-    the Marcum series are sized by their arguments.
+    clipped into [0, 1].
     """
     x_th = _validate_threshold(x_th)
     _check_profile(cfg, profile)
@@ -330,7 +324,7 @@ def lcr_theorem1(cfg, profile, x_th, quad=DEFAULT_QUADRATURE):
 # Two-port incomplete-gamma series
 # ---------------------------------------------------------------------------
 
-def lcr_two_port_series(cfg, mu, x_th, tol=DEFAULT_TOLERANCE):
+def lcr_two_port_series(cfg, mu, x_th):
     """Two-port crossing rate as an incomplete-gamma series in the correlation.
 
     With s = sigma^2 (1 - mu^2) and y = x_th^2 / s, the series
@@ -346,8 +340,7 @@ def lcr_two_port_series(cfg, mu, x_th, tol=DEFAULT_TOLERANCE):
     y reaches ~1e6), that call takes Temme's expansion, and elsewhere the
     Bessel series, each at a fixed cost.  Where 1 - Q1 is small it is
     computed directly, not as 1 minus Q1, so the rate stays exact in deep
-    fades (x_th down to 1e-10 sigma).  ``tol`` is accepted for
-    compatibility and not read.
+    fades (x_th down to 1e-10 sigma).
     """
     _check_config(cfg)
     x_th = _validate_threshold(x_th)
@@ -357,4 +350,5 @@ def lcr_two_port_series(cfg, mu, x_th, tol=DEFAULT_TOLERANCE):
     rho2 = x_th * x_th / cfg.sigma2
     prefactor = 2.0 * _SQRT_2PI * cfg.f_doppler * (x_th / cfg.sigma) * math.exp(-rho2)
     y = rho2 / (1.0 - mu * mu)
-    return prefactor * marcum_q1(mu * math.sqrt(2.0 * y), math.sqrt(2.0 * y), tol, True)
+    # complement goes positionally: tracing wrappers take (a, b, *rest)
+    return prefactor * marcum_q1(mu * math.sqrt(2.0 * y), math.sqrt(2.0 * y), True)

@@ -79,7 +79,8 @@ import numpy as np
 
 from .channel_model import IDENTICAL_CHANNEL_CUTOFF, _check_config, _check_port_count
 from .channel_model import _validate_threshold, correlation_profile
-from .errors import ConfigError, _is_finite_number, _is_whole_number
+from .errors import ConfigError, DomainError, _is_finite_number, _is_whole_number
+from .specfun import _as_float_array
 
 # Samples per streamed chunk of estimate_lcr (whole blocks, so about this).
 _CHUNK_SAMPLES = 1 << 16
@@ -191,14 +192,17 @@ class EnvelopeSeries:
     dt: float
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=float)
+        try:
+            arr = _as_float_array(self.samples, "envelope samples")[0]
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
         object.__setattr__(self, "samples", arr)
         if arr.ndim != 1 or arr.size < 2:
             raise ConfigError("an envelope series needs at least two samples")
         if not (_is_finite_number(self.dt) and self.dt > 0.0):
             raise ConfigError(f"dt must be finite and > 0, got {self.dt!r}")
-        if not np.all(np.isfinite(arr)) or float(arr.min()) < 0.0:
-            raise ConfigError("envelope samples must be finite and >= 0")
+        if float(arr.min()) < 0.0:
+            raise ConfigError("envelope samples must be >= 0")
 
     @property
     def duration(self):

@@ -37,43 +37,17 @@ does, so callers fuse the exponents analytically and multiply by
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, _is_finite_number, _is_whole_number
+from .errors import DomainError, _is_finite_number, _is_whole_number
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOLERANCE",
     "bessel_j0",
     "bessel_i0_scaled",
     "marcum_q1",
     "lower_gamma_int",
 ]
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Truncation control of the series evaluations, validated but no longer
-    read: every series is sized by its arguments.  Kept because
-    the public ``tol`` parameters, and callers that build one, still take it.
-
-    rel_eps   -- relative size of the last term kept
-    max_terms -- cap on the number of series terms summed
-    """
-
-    rel_eps: float = 1e-12
-    max_terms: int = 1000
-
-    def __post_init__(self):
-        if not (_is_finite_number(self.rel_eps) and 0.0 < self.rel_eps < 1.0):
-            raise ConfigError(f"rel_eps must lie in (0, 1), got {self.rel_eps!r}")
-        if not (_is_whole_number(self.max_terms) and self.max_terms >= 1):
-            raise ConfigError(f"max_terms must be a positive integer, got {self.max_terms!r}")
-
-
-DEFAULT_TOLERANCE = Tolerance()
 
 # |x| at which both Bessel evaluators switch branch: J0's power series is
 # machine accurate (and cancellation-safe) up to here, and I0's two Chebyshev
@@ -87,8 +61,8 @@ def _as_float_array(x, name):
     mixes bools with numbers converts to a real dtype, so the elements of an
     input that is not already an ndarray are checked for bools one by one."""
     arr = np.asarray(x)
-    if arr.dtype.kind not in "iuf" or (not isinstance(x, np.ndarray) and any(
-            isinstance(v, (bool, np.bool_)) for v in np.asarray(x, dtype=object).flat)):
+    if arr.dtype.kind not in "iuf" or (not isinstance(x, np.ndarray) and not {
+            bool, np.bool_}.isdisjoint(map(type, np.asarray(x, dtype=object).flat))):
         raise DomainError(f"{name} must be real numbers, got {x!r}")
     arr = arr.astype(float, copy=False)
     if not np.all(np.isfinite(arr)):
@@ -153,11 +127,13 @@ def _j0_series(ax):
 
 def _j0_asymptotic(ax):
     # Hankel expansion: J0(x) ~ sqrt(2/(pi x)) [P(x) cos(x - pi/4) - Q(x) sin(x - pi/4)]
-    inv2 = 1.0 / (ax * ax)
+    # 1/x squared, not 1/x^2: x^2 overflows from |x| ~ 1.3e154
+    inv = 1.0 / ax
+    inv2 = inv * inv
     p = 1.0 + inv2 * (-9.0 / 128.0 + inv2 * (3675.0 / 32768.0 - inv2 * 2401245.0 / 4194304.0))
-    q = (1.0 / ax) * (-1.0 / 8.0 + inv2 * (75.0 / 1024.0 - inv2 * 59535.0 / 262144.0))
+    q = inv * (-1.0 / 8.0 + inv2 * (75.0 / 1024.0 - inv2 * 59535.0 / 262144.0))
     chi = ax - 0.25 * math.pi
-    return np.sqrt(2.0 / (math.pi * ax)) * (p * np.cos(chi) - q * np.sin(chi))
+    return np.sqrt((2.0 / math.pi) * inv) * (p * np.cos(chi) - q * np.sin(chi))
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +211,9 @@ def _i0_scaled_large(ax):
 _MARCUM_HUGE = 1e150
 
 
-def marcum_q1(a, b, tol=DEFAULT_TOLERANCE, complement=False):
+def marcum_q1(a, b, complement=False):
     """First-order Marcum Q-function Q1(a, b) for a, b >= 0, or 1 - Q1(a, b)
-    if ``complement``.
+    if ``complement``, which must be a bool.
 
     Elements with xi = ab > _TEMME_XI go to Temme's large-xi expansion
     (``_temme_small_side``), every other one to the Bessel series
@@ -246,8 +222,10 @@ def marcum_q1(a, b, tol=DEFAULT_TOLERANCE, complement=False):
     stay exact where they are small; sides below the double range come out
     0.  Where a or b exceeds _MARCUM_HUGE the limit is returned: 1/2 for
     a = b, and otherwise 0 or 1 by which argument is the larger.  No route
-    can run out of terms; ``tol`` is accepted for compatibility and not read.
+    can run out of terms.
     """
+    if not isinstance(complement, (bool, np.bool_)):
+        raise DomainError(f"complement must be a bool, got {complement!r}")
     a_arr, a_scalar = _as_float_array(a, "a")
     b_arr, b_scalar = _as_float_array(b, "b")
     if np.any(a_arr < 0.0) or np.any(b_arr < 0.0):
@@ -494,8 +472,10 @@ def lower_gamma_int(k, x):
     """gamma(k+1, x) = integral_0^x t^k exp(-t) dt for integer k >= 0.
 
     For x < k+1 the ascending series is used (no cancellation); for x >= k+1
-    the closed form k! (1 - exp(-x) sum_{j<=k} x^j/j!) is safe because the
-    bracket is order one there.  Monotone nondecreasing in x with limit k!.
+    the closed form k! (1 - Pr[Poisson(x) <= k]) is safe because the Poisson
+    CDF is at most about 1/2 there.  A power that could overflow is formed in
+    logs, so huge x or k give k! or inf, never nan or an OverflowError.
+    Monotone nondecreasing in x with limit k!.
     """
     if not (_is_whole_number(k) and k >= 0):
         raise DomainError(f"k must be a nonnegative integer, got {k!r}")
@@ -507,7 +487,6 @@ def lower_gamma_int(k, x):
         return 0.0
     if xf < k + 1.0:
         # gamma(k+1, x) = x^(k+1) e^-x sum_{j>=0} x^j / ((k+1)(k+2)...(k+1+j))
-        log_pref = (k + 1) * math.log(xf) - xf
         term = 1.0 / (k + 1)
         total = term
         denom = k + 1
@@ -517,14 +496,25 @@ def lower_gamma_int(k, x):
             total += term
             if term <= 1e-17 * total:
                 break
-        return math.exp(log_pref) * total
-    try:
-        fact = float(math.factorial(k))
-    except OverflowError:
-        fact = math.inf
-    term = 1.0
-    partial = 1.0
-    for j in range(1, k + 1):
-        term *= xf / j
-        partial += term
-    return fact * (1.0 - math.exp(-xf) * partial)
+        try:
+            return math.exp((k + 1) * math.log(xf) - xf + math.log(total))
+        except OverflowError:
+            return math.inf
+    if k > 170:
+        # k! is past the double range, and the bracket below is >= ~1/2
+        return math.inf
+    # Pr[Poisson(x) <= k] summed downward from its top term e^-x x^k/k!; the
+    # terms fall as j drops, since j <= k < x.  The top term is a product
+    # while e^-x is a normal double (x^k/k! < e^x cannot overflow then), and
+    # is formed in logs beyond.
+    if xf <= 700.0:
+        term = math.exp(-xf)
+        for j in range(1, k + 1):
+            term *= xf / j
+    else:
+        term = math.exp(k * math.log(xf) - xf - math.lgamma(k + 1))
+    cdf = term
+    for j in range(k, 0, -1):
+        term *= j / xf
+        cdf += term
+    return math.factorial(k) * (1.0 - cdf)

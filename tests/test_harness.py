@@ -203,6 +203,19 @@ class TestCompareMethods:
         with pytest.raises(ConfigError, match="'monte_carlo' with itself"):
             compare_methods(rows, reference_method="monte_carlo")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, -1e-300, "0.05", True, None])
+    def test_gate_values_must_be_finite_and_nonnegative(self, bad):
+        rows = [
+            ResultRow(n=2, w=0.1, threshold_linear=1.0, threshold_db=0.0,
+                      method="iid", nlcr=1.0, raw_rate=1.0),
+            ResultRow(n=2, w=0.1, threshold_linear=1.0, threshold_db=0.0,
+                      method="monte_carlo", nlcr=1.2, raw_rate=1.2),
+        ]
+        with pytest.raises(ConfigError, match="min_nlcr must be a finite number >= 0"):
+            compare_methods(rows, min_nlcr=bad)
+        with pytest.raises(ConfigError, match="tolerance must be a finite number >= 0"):
+            compare_methods(rows).exceeds(bad)
+
     def test_missing_method_rejected(self):
         rows = [
             ResultRow(n=2, w=0.1, threshold_linear=1.0, threshold_db=0.0,
@@ -354,6 +367,21 @@ class TestCli:
         assert "compared 0 points" in out
         assert "FAIL" in out and "PASS" not in out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--tolerance", "nan"), ("--tolerance", "-1"), ("--tolerance", "inf"),
+        ("--min-nlcr", "-1"), ("--min-nlcr", "nan"),
+    ])
+    def test_compare_refuses_bad_gate_values_before_sweeping(self, flag, value, monkeypatch,
+                                                             capsys):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(harness, "run_sweep", no_sweep)
+        assert main(["compare", "--n", "2", "--w", "0.3", "--thresholds", "0.5,40",
+                     "--duration-cycles", "200", flag, value]) == 2
+        assert f"{flag} must be a finite number >= 0, got {float(value)!r}" in (
+            capsys.readouterr().err)
+
     def test_python_dash_m_runs_the_cli(self):
         src = str(Path(faslcr.__file__).resolve().parent.parent)
         env = dict(os.environ,
@@ -456,3 +484,11 @@ def test_config_key_and_flag_give_the_same_value(name, tmp_path):
     from_file = harness._options(parser.parse_args([commands[0], "--config", str(cfgfile)]))
     assert from_flag == from_file
     assert from_flag[name] != harness._options(parser.parse_args([commands[0]]))[name]
+
+
+def test_one_version():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", pyproject.read_text(),
+                        re.MULTILINE | re.DOTALL).group(1)
+    version = re.search(r'^version\s*=\s*"([^"]+)"', project, re.MULTILINE).group(1)
+    assert version == faslcr.__version__

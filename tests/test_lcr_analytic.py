@@ -21,7 +21,6 @@ from faslcr.lcr_analytic import (
     lcr_two_port_series,
     surviving_product,
 )
-from faslcr.specfun import Tolerance
 
 from oracles import (
     marcum_q1_quad,
@@ -141,6 +140,23 @@ def test_rates_vanish_from_forty_sigma(rate, sigmas, f_doppler):
 
 
 class TestTwoPortSeries:
+    def test_calls_marcum_q1_with_positional_arguments(self, monkeypatch):
+        # tracing wrappers of lcr_analytic.marcum_q1 take (a, b, *rest)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return specfun.marcum_q1(*args, **kwargs)
+
+        monkeypatch.setattr(lcr_analytic, "marcum_q1", spy)
+        cfg = FasConfig(2, 0.1, sigma2=1.0, f_doppler=1.0)
+        got = lcr_two_port_series(cfg, 0.6, 0.8)
+        monkeypatch.undo()
+        assert got == lcr_two_port_series(cfg, 0.6, 0.8)
+        assert len(calls) == 1
+        args, kwargs = calls[0]
+        assert kwargs == {} and len(args) == 3 and args[2] is True
+
     def test_mu_zero_is_two_port_iid(self):
         cfg = FasConfig(2, 0.1, sigma2=1.4, f_doppler=2.5)
         for x in (0.1, 0.8, 2.2):
@@ -169,9 +185,8 @@ class TestTwoPortSeries:
         # sqrt(1 - mu^2): about 12.6% at mu = 0.9, 4.0% at 0.99, 1.3% at 0.999
         cfg = FasConfig(2, 0.1, sigma2=1.0, f_doppler=1.0)
         ident = lcr_identical(cfg, 1.0)
-        tol = Tolerance(rel_eps=1e-12, max_terms=5000)
         devs = [
-            abs(lcr_two_port_series(cfg, mu, 1.0, tol) / ident - 1.0)
+            abs(lcr_two_port_series(cfg, mu, 1.0) / ident - 1.0)
             for mu in (0.9, 0.99, 0.999)
         ]
         assert devs[0] > devs[1] > devs[2]

@@ -480,6 +480,11 @@ class TestCountCrossings:
             EnvelopeSeries(np.array([1.0, 2.0]), True)
         with pytest.raises(ConfigError):
             EnvelopeSeries(np.array([1.0, 2.0]), "0.5")
+        # a bool or a string is never a number, nor is a non-finite sample
+        for samples in (["1.0", "0.5", "2"], [True, False, True], np.array([True, False]),
+                        [1.0, True], [1.0, math.nan], [1.0, -0.5]):
+            with pytest.raises(ConfigError):
+                EnvelopeSeries(samples, 1.0)
         with pytest.raises(ConfigError):
             BaseProcesses(np.zeros((1, 2)), np.zeros((1, 2)), math.nan)
         with pytest.raises(ConfigError):
