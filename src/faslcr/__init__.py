@@ -34,8 +34,6 @@ from .harness import (
     run_sweep,
 )
 from .lcr_analytic import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
     lcr_identical,
     lcr_iid,
     lcr_theorem1,
@@ -62,4 +60,4 @@ from .specfun import (
     marcum_q1,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

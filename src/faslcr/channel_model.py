@@ -204,9 +204,8 @@ def bivariate_pdf(sigma2, mu, x1, x2):
     mu = _validate_mu(mu)
     if not all(_is_finite_number(x) and x >= 0.0 for x in (x1, x2)):
         raise DomainError(f"x1 and x2 must be finite and >= 0, got {x1!r} and {x2!r}")
+    # convert first: a huge int passes the number rule, but its square is no float
     x1 = float(x1)
     x2 = float(x2)
-    c = sigma2 * (1.0 - mu * mu)
-    v = 2.0 * mu * x1 * x2 / c
-    u = (x1 * x1 + x2 * x2) / c
-    return float(4.0 * x1 * x2 / (sigma2 * c) * bessel_i0_scaled(v) * math.exp(v - u))
+    return float(_pair_density_factor(sigma2, 0.0, x1, x1)
+                 * _pair_density_factor(sigma2, mu, x1, x2))

@@ -35,17 +35,14 @@ quadratic form, so nothing overflows even with correlations within 1e-9 of 1.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .channel_model import _check_config, _check_profile, _validate_mu, _validate_threshold
-from .errors import AccuracyError, ConfigError, DomainError, _is_finite_number, _is_whole_number
+from .errors import AccuracyError, DomainError, _is_whole_number
 from .specfun import _as_float_array, _marcum_kernel, bessel_i0_scaled, marcum_q1
 
 __all__ = [
-    "QuadratureSpec",
-    "DEFAULT_QUADRATURE",
     "lcr_theorem1",
     "lcr_iid",
     "lcr_identical",
@@ -65,31 +62,16 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _ZERO_RATE_SIGMAS = 40.0
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Adaptive-quadrature budget for the inner integral of the exact rate.
-
-    ``max_subdivisions`` caps the panel count less one.  The quadrature
-    starts from five panels graded toward the upper limit, and those four
-    starting cuts count as subdivisions, so a cap below 4 raises
-    ``AccuracyError`` at every point.
-    """
-
-    abs_eps: float = 1e-12
-    rel_eps: float = 1e-9
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        for name in ("abs_eps", "rel_eps"):
-            v = getattr(self, name)
-            if not (_is_finite_number(v) and 0.0 < v < 1.0):
-                raise ConfigError(f"{name} must lie in (0, 1), got {v!r}")
-        if not (_is_whole_number(self.max_subdivisions) and self.max_subdivisions >= 1):
-            raise ConfigError(
-                f"max_subdivisions must be an integer >= 1, got {self.max_subdivisions!r}")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
+# The adaptive-quadrature budget of the inner integral, in QUADPACK's
+# epsabs/epsrel form: each panel must meet its width-proportional share of
+# max(_ABS_EPS, _REL_EPS * the first round's sum of |K21|).
+# _MAX_SUBDIVISIONS caps the panel count less one.  The quadrature starts
+# from five panels graded toward the upper limit, and those four starting
+# cuts count against the cap, so a cap below 4 raises AccuracyError at
+# every point.
+_ABS_EPS = 1e-12
+_REL_EPS = 1e-9
+_MAX_SUBDIVISIONS = 200
 
 # The 21-point Gauss-Kronrod rule on [-1, 1] and the 10-point Gauss rule
 # embedded in it, as in QUADPACK's qk21 (Piessens et al., 1983): the
@@ -145,12 +127,12 @@ _INITIAL_EDGES = (0.0, 0.5, 0.75, 0.875, 0.9375, 1.0)
 # Adaptive panel quadrature
 # ---------------------------------------------------------------------------
 
-def _integrate_adaptive(f, lo, hi, quad):
+def _integrate_adaptive(f, lo, hi):
     """Integrate a smooth vectorised integrand over [lo, hi] adaptively.
 
     The interval starts as the panels of ``_INITIAL_EDGES``, graded toward
     ``hi`` where the theorem1 integrand has its boundary layer, and the cuts
-    between them count as subdivisions against ``quad.max_subdivisions``.
+    between them count as subdivisions against ``_MAX_SUBDIVISIONS``.
     Each panel is evaluated at the 21 nodes of the Gauss-Kronrod rule: the
     K21 value is kept and |K21 - G10|, from the 10-point Gauss rule on every
     second node, is its error estimate.  Panels failing their
@@ -175,14 +157,14 @@ def _integrate_adaptive(f, lo, hi, quad):
         err = np.abs(i_hi - i_lo)
         if scale is None:
             scale = max(float(np.sum(np.abs(i_hi))), 1e-300)
-        budget = np.maximum(quad.abs_eps, quad.rel_eps * scale) * (b - a) / width
+        budget = np.maximum(_ABS_EPS, _REL_EPS * scale) * (b - a) / width
         ok = err <= budget
         accepted += float(np.sum(i_hi[ok]))
         splits += int(np.count_nonzero(~ok))
-        if splits > quad.max_subdivisions:
+        if splits > _MAX_SUBDIVISIONS:
             partial = accepted + float(np.sum(i_hi[~ok]))
             raise AccuracyError(
-                f"adaptive quadrature exceeded {quad.max_subdivisions} subdivisions",
+                f"adaptive quadrature exceeded {_MAX_SUBDIVISIONS} subdivisions",
                 partial=partial,
             )
         # each failing panel becomes its two halves, in the same order
@@ -264,7 +246,7 @@ def surviving_product(cfg, profile, x1, x_th, skip_index):
     return float(result[0]) if scalar else result
 
 
-def lcr_theorem1(cfg, profile, x_th, quad=DEFAULT_QUADRATURE):
+def lcr_theorem1(cfg, profile, x_th):
     """Exact crossing rate of the N-port selected envelope, in crossings/second.
 
     The first term covers the reference port being the strongest at the
@@ -311,7 +293,7 @@ def lcr_theorem1(cfg, profile, x_th, quad=DEFAULT_QUADRATURE):
 
     prefactor = _SQRT_2PI * x_th * cfg.f_doppler / cfg.sigma
     try:
-        second = _integrate_adaptive(integrand, 0.0, x_th, quad)
+        second = _integrate_adaptive(integrand, 0.0, x_th)
     except AccuracyError as exc:
         raise AccuracyError(
             f"theorem1 at N = {cfg.n_ports}, x_th = {x_th!r}: {exc}",

@@ -515,19 +515,21 @@ def estimate_lcr(cfg, sim, thresholds):
         mask = np.empty(selected.size, bool)
         order = np.argsort(thresholds, kind="stable")
         ascending = np.asarray(thresholds)[order]
-        carried = np.empty(len(cfgs))
+        # Each config's last selected sample, carried into the next tile.  It
+        # starts at 0.0: every threshold is > 0, so 0.0 ranks below them all
+        # and cannot start a down step into the first tile.
+        carried = np.zeros(len(cfgs))
         for first, stop in zip(bounds, bounds[1:]):
             base = _synthesize(bank, sim, first, stop, synthesis)
             for lo in range(0, base.x.shape[1], _TILE_SAMPLES):
                 tile = BaseProcesses(x=base.x[:, lo:lo + _TILE_SAMPLES],
                                      y=base.y[:, lo:lo + _TILE_SAMPLES], dt=sim.dt)
                 size = tile.x.shape[1]
-                head = 1 if first == 0 and lo == 0 else 0
                 for i, (c, profile) in enumerate(zip(cfgs, profiles)):
                     _select(tile, c.sigma, profile.mu, selected[1:size + 1],
                             [b[:size] for b in scratch])
                     selected[0] = carried[i]
-                    crossings[i, order] += _down_crossings(selected[head:size + 1], ascending,
+                    crossings[i, order] += _down_crossings(selected[:size + 1], ascending,
                                                            rank, mask)
                     carried[i] = selected[size]
     duration = sim.n_samples * sim.dt

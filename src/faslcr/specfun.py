@@ -37,6 +37,7 @@ does, so callers fuse the exponents analytically and multiply by
 """
 
 import math
+import reprlib
 
 import numpy as np
 
@@ -59,14 +60,15 @@ def _as_float_array(x, name):
     """(float ndarray, was_scalar); DomainError unless x has an integer or real
     dtype (no bool, string or object) and is finite everywhere.  A list that
     mixes bools with numbers converts to a real dtype, so the elements of an
-    input that is not already an ndarray are checked for bools one by one."""
+    input that is not already an ndarray are checked for bools one by one.
+    The message names the argument and shows an abridged repr of it."""
     arr = np.asarray(x)
     if arr.dtype.kind not in "iuf" or (not isinstance(x, np.ndarray) and not {
             bool, np.bool_}.isdisjoint(map(type, np.asarray(x, dtype=object).flat))):
-        raise DomainError(f"{name} must be real numbers, got {x!r}")
+        raise DomainError(f"{name} must be real numbers, got {reprlib.repr(x)}")
     arr = arr.astype(float, copy=False)
     if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite, got {x!r}")
+        raise DomainError(f"{name} must be finite, got {reprlib.repr(x)}")
     return arr, arr.ndim == 0
 
 

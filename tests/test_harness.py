@@ -1,5 +1,6 @@
 """Sweep engine, CSV round-trips, comparison gate, and CLI exit codes."""
 
+import inspect
 import io
 import math
 import os
@@ -492,3 +493,18 @@ def test_one_version():
                         re.MULTILINE | re.DOTALL).group(1)
     version = re.search(r'^version\s*=\s*"([^"]+)"', project, re.MULTILINE).group(1)
     assert version == faslcr.__version__
+
+
+def test_public_surface_is_the_declared_one():
+    # faslcr exports exactly what its modules declare in __all__, less the CLI
+    # entry, plus the exception classes: no stale name and no undeclared export
+    from faslcr import channel_model, errors, lcr_analytic, mc_simulator, specfun
+
+    exported = {name for name, value in vars(faslcr).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    declared = {name for module in (channel_model, harness, lcr_analytic, mc_simulator, specfun)
+                for name in module.__all__} - {"main"}
+    exceptions = {name for name, value in vars(errors).items()
+                  if inspect.isclass(value) and issubclass(value, Exception)}
+    assert len(exceptions) == 5
+    assert exported == declared | exceptions

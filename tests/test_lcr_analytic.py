@@ -13,8 +13,6 @@ from faslcr.lcr_analytic import (
     _INITIAL_EDGES,
     _KRONROD_NODES,
     _KRONROD_WEIGHTS,
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
     lcr_identical,
     lcr_iid,
     lcr_theorem1,
@@ -204,7 +202,7 @@ class TestTwoPortSeries:
             sign_changes = int(np.sum(np.sign(diffs[:-1]) != np.sign(diffs[1:])))
             assert sign_changes == 1
 
-    def test_extreme_mu_default_tolerance(self):
+    def test_extreme_mu_against_quadrature(self):
         # y ~ 5e5: Temme's expansion, whose cost does not grow with y
         cfg = FasConfig(2, 0.1)
         mu = 1.0 - 1e-6
@@ -439,42 +437,47 @@ class TestTheorem1:
         with pytest.raises(ConfigError):
             lcr_theorem1(cfg, correlation_profile(FasConfig(2, 0.1)), 1.0)
 
-    def test_quadrature_cap_raises_with_partial(self):
+    def test_quadrature_cap_raises_with_partial(self, monkeypatch):
         cfg = FasConfig(4, 0.1)
         prof = correlation_profile(cfg)
-        tiny = QuadratureSpec(abs_eps=1e-13, rel_eps=1e-12, max_subdivisions=1)
+        monkeypatch.setattr(lcr_analytic, "_MAX_SUBDIVISIONS", 1)
         with pytest.raises(AccuracyError) as exc:
-            lcr_theorem1(cfg, prof, 1.0, tiny)
+            lcr_theorem1(cfg, prof, 1.0)
         assert exc.value.partial is not None
 
     @pytest.mark.parametrize("n,w,x_th", [(4, 0.1, 1.0), (8, 0.3, 2.0), (6, 0.1, 2.5)])
-    def test_quadrature_cap_partial_is_a_rate(self, n, w, x_th):
+    def test_quadrature_cap_partial_is_a_rate(self, monkeypatch, n, w, x_th):
         cfg = FasConfig(n, w)
         prof = correlation_profile(cfg)
+        want = lcr_theorem1(cfg, prof, x_th)
+        monkeypatch.setattr(lcr_analytic, "_MAX_SUBDIVISIONS", 1)
         with pytest.raises(AccuracyError) as exc:
-            lcr_theorem1(cfg, prof, x_th, QuadratureSpec(max_subdivisions=1))
-        assert exc.value.partial == pytest.approx(lcr_theorem1(cfg, prof, x_th), rel=1e-6)
+            lcr_theorem1(cfg, prof, x_th)
+        assert exc.value.partial == pytest.approx(want, rel=1e-6)
         assert f"N = {n}, x_th = {x_th!r}" in str(exc.value)
 
     @pytest.mark.parametrize("n,w,x_th", [
         (1, 0.0, 1.0), (2, 0.3, 0.05), (4, 0.3, 1.2), (8, 0.1, 1.758), (12, 0.3, 3.0),
     ])
-    def test_starting_cuts_count_as_subdivisions(self, n, w, x_th):
+    def test_starting_cuts_count_as_subdivisions(self, monkeypatch, n, w, x_th):
         # five starting panels are four subdivisions, so caps of 2 and 3 are
         # exceeded by the first round at every point, converged or not
         cfg = FasConfig(n, w)
         prof = correlation_profile(cfg)
+        want = lcr_theorem1(cfg, prof, x_th)
         for cap in (2, 3):
+            monkeypatch.setattr(lcr_analytic, "_MAX_SUBDIVISIONS", cap)
             with pytest.raises(AccuracyError) as exc:
-                lcr_theorem1(cfg, prof, x_th, QuadratureSpec(max_subdivisions=cap))
-            assert exc.value.partial == pytest.approx(lcr_theorem1(cfg, prof, x_th), rel=1e-6)
+                lcr_theorem1(cfg, prof, x_th)
+            assert exc.value.partial == pytest.approx(want, rel=1e-6)
 
-    def test_cap_of_four_admits_the_starting_panels(self):
+    def test_cap_of_four_admits_the_starting_panels(self, monkeypatch):
         # a one-port rate has a zero integral: the starting panels all converge
         cfg = FasConfig(1, 0.0)
         prof = correlation_profile(cfg)
-        got = lcr_theorem1(cfg, prof, 1.0, QuadratureSpec(max_subdivisions=4))
-        assert got == lcr_theorem1(cfg, prof, 1.0)
+        want = lcr_theorem1(cfg, prof, 1.0)
+        monkeypatch.setattr(lcr_analytic, "_MAX_SUBDIVISIONS", 4)
+        assert lcr_theorem1(cfg, prof, 1.0) == want
 
 
 class TestKronrodRule:
@@ -504,11 +507,11 @@ class TestKronrodRule:
         calls = []
         integrate_adaptive = lcr_analytic._integrate_adaptive
 
-        def spy(f, lo, hi, quad):
+        def spy(f, lo, hi):
             def recorded(x):
                 calls.append(x.copy())
                 return f(x)
-            return integrate_adaptive(recorded, lo, hi, quad)
+            return integrate_adaptive(recorded, lo, hi)
 
         monkeypatch.setattr(lcr_analytic, "_integrate_adaptive", spy)
         cfg = FasConfig(16, 0.05)
@@ -541,11 +544,11 @@ class TestKronrodRule:
             marcum_calls.append(args)
             return marcum_kernel(*args, **kwargs)
 
-        def integrate_spy(f, lo, hi, quad):
+        def integrate_spy(f, lo, hi):
             def recorded(x):
                 rounds.append(x.size)
                 return f(x)
-            return integrate_adaptive(recorded, lo, hi, quad)
+            return integrate_adaptive(recorded, lo, hi)
 
         monkeypatch.setattr(lcr_analytic, "_marcum_kernel", marcum_spy)
         monkeypatch.setattr(lcr_analytic, "_integrate_adaptive", integrate_spy)
@@ -582,11 +585,11 @@ class TestKronrodRule:
         i0_args, rounds = [], []
         integrate_adaptive = lcr_analytic._integrate_adaptive
 
-        def integrate_spy(f, lo, hi, quad):
+        def integrate_spy(f, lo, hi):
             def recorded(x):
                 rounds.append(x.size)
                 return f(x)
-            return integrate_adaptive(recorded, lo, hi, quad)
+            return integrate_adaptive(recorded, lo, hi)
 
         for module in (specfun, lcr_analytic):
             def i0_spy(x, i0=module.bessel_i0_scaled):
@@ -603,13 +606,6 @@ class TestKronrodRule:
 
 class TestQuadratureSpec:
     def test_defaults(self):
-        q = DEFAULT_QUADRATURE
-        assert q.abs_eps == 1e-12 and q.rel_eps == 1e-9 and q.max_subdivisions == 200
-
-    @pytest.mark.parametrize("kwargs", [
-        {"abs_eps": 0.0}, {"rel_eps": 1.5}, {"max_subdivisions": 0},
-        {"max_subdivisions": True}, {"rel_eps": "1e-9"},
-    ])
-    def test_invalid(self, kwargs):
-        with pytest.raises(ConfigError):
-            QuadratureSpec(**kwargs)
+        assert lcr_analytic._ABS_EPS == 1e-12
+        assert lcr_analytic._REL_EPS == 1e-9
+        assert lcr_analytic._MAX_SUBDIVISIONS == 200

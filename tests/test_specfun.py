@@ -11,7 +11,8 @@ import pytest
 from scipy import special, stats
 
 from faslcr import specfun
-from faslcr.errors import DomainError
+from faslcr.errors import DomainError, FasLcrError
+from faslcr.mc_simulator import EnvelopeSeries
 from faslcr.specfun import (
     bessel_i0_scaled,
     bessel_j0,
@@ -152,7 +153,7 @@ class TestMarcumQ1:
         # Q1(0, b) = exp(-b^2/2)
         assert marcum_q1(0.0, b) == pytest.approx(math.exp(-0.5 * b * b), rel=1e-14)
 
-    def test_identity_within_series_tolerance(self):
+    def test_zero_a_identity_on_a_grid_of_b(self):
         for b in np.linspace(0.0, 5.0, 51):
             want = math.exp(-0.5 * b * b)
             assert abs(marcum_q1(0.0, float(b)) - want) <= 1e-11 * want
@@ -191,8 +192,8 @@ class TestMarcumQ1:
         assert c == pytest.approx(stats.ncx2.cdf(2.0 * beta, 2, 2.0 * alpha), rel=1e-10, abs=0.0)
         assert q[-4] == pytest.approx(1.7596e-3, rel=1e-4)     # alpha = 650, beta = 760
 
-    def test_very_large_argument_default_tolerance(self):
-        # xi = ab = 39800: the expansion route, at the default tolerance
+    def test_very_large_argument_against_quadrature(self):
+        # xi = ab = 39800: the expansion route
         assert marcum_q1(200.0, 199.0) == pytest.approx(marcum_q1_quad(200.0, 199.0), rel=1e-9)
 
     def test_bounds_and_monotonicity_random_grid(self):
@@ -457,6 +458,21 @@ def test_import_loads_numpy_only():
     path, loaded = done.stdout.rsplit(" ", 1)
     assert Path(path).resolve().parent == Path(specfun.__file__).resolve().parent
     assert loaded.strip() == "[]"
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: marcum_q1(["1.0"] * 10**5, 1.0), "a"),
+    (lambda: marcum_q1([math.nan] * 10**5, 1.0), "a"),
+    (lambda: EnvelopeSeries([True] * 10**5, 1.0), "envelope samples"),
+    (lambda: bessel_j0(np.full(900, math.nan)), "x"),
+], ids=["marcum_q1-strings", "marcum_q1-nans", "EnvelopeSeries-bools", "bessel_j0-nans"])
+def test_refusal_message_is_bounded(call, name):
+    # a refused array is abridged in the message, which still names the argument
+    with pytest.raises(FasLcrError) as exc:
+        call()
+    message = str(exc.value)
+    assert len(message) <= 200
+    assert message.startswith(f"{name} must be ")
 
 
 class TestLowerGammaInt:
