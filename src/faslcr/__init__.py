@@ -60,4 +60,4 @@ from .specfun import (
     marcum_q1,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.3.1"

@@ -15,8 +15,9 @@ first quadrant: all discrete Doppler frequencies are distinct, and the
 time-averaged autocorrelation of a single realization reproduces
 J0(2 pi f_D tau) to quadrature accuracy rather than merely in ensemble mean.
 
-The sum is evaluated as a blocked real matrix product.  The time axis is cut
-into blocks of B = isqrt(n) samples starting at s_b = b B dt, and
+The sum is evaluated as a blocked real matrix product.  The time axis is
+cut into blocks of B = min(isqrt(n), _MAX_BLOCK) samples starting at
+s_b = b B dt, and
 
     cos(w_m (s_b + k dt) + phi_m) = cos(A_bm) cos(w_m k dt) - sin(A_bm) sin(w_m k dt)
 
@@ -36,13 +37,13 @@ rounding (about 1e-11 at 640k samples).  The 2N processes are held as one
 stacked bank of their (2M x B) right factors (steps of dt, k < B) and the
 fine tables of their left factors (steps of B dt, with phi_m folded in); any
 range of block rows is evaluated from it on demand.  The left factors of all
-2N processes are built per range in one batch, from the coarse rows that
-range touches, and multiplied by the right factors in one stacked product.
-A row depends only on its block index, so for a fixed BLAS build and thread
-count a streamed run synthesizes the same bits as the whole series.  (The
-rounding of a product can change with the BLAS thread count: rows made with
-one OpenBLAS thread and with two have differed in the last bits, though no
-crossing count has.)
+2N processes are built per range in one batch, exactly its rows from the
+coarse rows that range touches, and multiplied by the right factors in one
+stacked product.  A row depends only on its block index, so for a fixed BLAS
+build and thread count a streamed run synthesizes the same bits as the whole
+series.  (The rounding of a product can change with the BLAS thread count:
+rows made with one OpenBLAS thread and with two have differed in the last
+bits, though no crossing count has.)
 
 ``estimate_lcr`` streams, and it walks any number of configs that share
 ``sim`` and f_D in one pass.  Port k reads streams 2k and 2k+1 whatever N
@@ -60,9 +61,12 @@ envelopes.  Counting ranks each sample against all the sorted thresholds at
 once; a step down from rank h to rank h' crosses exactly the thresholds of
 rank h' .. h - 1.  Each config's last selected sample of a tile is
 prepended to its next tile, in the same chunk or the next one, so the step
-across a tile or chunk boundary is an ordinary step.  Memory is set by the
-chunk and the right factors, not by the duration or the number of configs,
-and the counts equal those of the whole series.
+across a tile or chunk boundary is an ordinary step.  The right factors,
+the chunk buffer and the left factors are bounded by the chunk and the cap
+on B, and the selection and counting buffers by the tile, so memory does not
+grow with the number of configs, nor with the duration but for the fine left
+tables of isqrt(n/B) rows (0.9 MiB at N = 4 and 6.4e6 samples).  The counts
+equal those of the whole series.
 
 Seeding expands a 64-bit root seed into one substream per process via
 counter-keyed seed sequences: stream 2j drives x_j and stream 2j+1 drives
@@ -84,6 +88,12 @@ from .specfun import _as_float_array
 
 # Samples per streamed chunk of estimate_lcr (whole blocks, so about this).
 _CHUNK_SAMPLES = 1 << 16
+# Longest block, in samples.  It bounds the right factors (2M x B per
+# process), so a run's memory stops growing with its duration.  On a 2-core
+# Xeon one 2^16-sample chunk of 8 processes cost 24.2 ns of gemm a sample at
+# B = 256, 21.0 at 512, 21.6 at 800 and 22.8 at 1024: 512 is the shortest
+# block at full speed.  Runs of fewer than 513^2 samples are not cut by it.
+_MAX_BLOCK = 512
 # Samples per tile within a chunk that estimate_lcr selects and counts over.
 # A tile's selection scratch then stays in a 2 MiB L2.  Against whole-chunk
 # selection on a 2-core Xeon (medians of two rounds of 15 and 21 interleaved
@@ -231,8 +241,8 @@ def _estimate(threshold, crossings, duration, f_doppler):
 
 
 def _block_layout(n_samples):
-    """(B, number of blocks): blocks of B = isqrt(n) samples, the last one ragged."""
-    block = math.isqrt(n_samples)
+    """(B, number of blocks): blocks of B = min(isqrt(n), _MAX_BLOCK) samples, the last ragged."""
+    block = min(math.isqrt(n_samples), _MAX_BLOCK)
     return block, -(-n_samples // block)
 
 
@@ -242,16 +252,20 @@ def _angle_rows(omegas, step, fine, first, stop):
     ``fine`` is the (g x M) table exp(i (w r step + phi)), r < g, of each
     process; leading axes of ``omegas`` (..., M) and ``fine`` (..., g, M)
     batch processes.  With k = q g + r, row k is exp(i w q g step) * fine[r]:
-    only the coarse rows q that the range touches are evaluated, and each
-    row depends on k alone, not on ``first`` and ``stop``.
+    only the coarse rows q that the range touches are evaluated, each joined
+    by one multiply to the fine rows of its group that the range holds, and
+    each row depends on k alone, not on ``first`` and ``stop``.
     """
     g = fine.shape[-2]
-    q0 = first // g
-    coarse_steps = np.arange(q0, (stop - 1) // g + 1) * (g * step)
+    q0, q1 = first // g, (stop - 1) // g + 1
+    coarse_steps = np.arange(q0, q1) * (g * step)
     coarse = np.exp(1j * (coarse_steps[:, None] * omegas[..., None, :]))
-    rows = coarse[..., :, None, :] * fine[..., None, :, :]
-    rows = rows.reshape(*rows.shape[:-3], -1, rows.shape[-1])
-    return rows[..., first - q0 * g:stop - q0 * g, :]
+    rows = np.empty((*fine.shape[:-2], stop - first, fine.shape[-1]), complex)
+    for q in range(q0, q1):
+        lo, hi = max(first, q * g), min(stop, q * g + g)
+        np.multiply(coarse[..., q - q0, None, :], fine[..., lo - q * g:hi - q * g, :],
+                    out=rows[..., lo - first:hi - first, :])
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,8 +293,9 @@ def _component_processes(cfg, sim):
     a rotation theta and then its phases from its own seed sequence.  The
     arrival angles are a uniform quadrant grid rotated by theta (distinct
     discrete frequencies); the phases are i.i.d. uniform.  The blocks are
-    B = isqrt(n_samples) samples long, so the last block row runs past
-    ``n_samples`` unless B divides it; callers cut it.
+    B = min(isqrt(n_samples), _MAX_BLOCK) samples long, so the right factors
+    stop growing with the duration beyond 513^2 samples, and the last block
+    row runs past ``n_samples`` unless B divides it; callers cut it.
     """
     m = sim.n_sinusoids
     rngs = [np.random.default_rng(np.random.SeedSequence(sim.seed, spawn_key=(2 * j + part,)))
@@ -291,8 +306,13 @@ def _component_processes(cfg, sim):
     omegas = 2.0 * math.pi * cfg.f_doppler * np.cos(angles)
 
     def fine(step, count, phase=0.0):
+        # The arguments are formed in the table's imaginary parts and raised
+        # there, so building it makes no temporary of its size.
         steps = np.arange(math.isqrt(count)) * step
-        return np.exp(1j * (steps[:, None] * omegas[:, None, :] + phase))
+        table = np.zeros((len(rngs), steps.size, m), complex)
+        np.multiply(steps[:, None], omegas[:, None, :], out=table.imag)
+        np.add(table.imag, phase, out=table.imag)
+        return np.exp(table, out=table)
 
     block, n_blocks = _block_layout(sim.n_samples)
     # Steps of -dt give exp(-i w k dt), whose float view interleaves cos and

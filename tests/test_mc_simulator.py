@@ -223,9 +223,9 @@ class TestBaseProcesses:
             assert np.all(np.abs(got.imag - np.sin(arg)) <= bound)
 
     def test_bank_peak_memory_is_its_right_factors(self):
-        # the peak is the right factors plus one process's temporaries (1.20
-        # measured); filling them from one complex copy of all of them at once
-        # reads 2.07
+        # the peak is the held bank, its right factors and fine left tables,
+        # plus one process's temporaries (1.06 measured); filling the right
+        # factors from one complex copy of all of them at once reads 1.8 or more
         cfg = FasConfig(4, 0.3)
         sim = SimParams.from_cycles(cfg, duration_cycles=1e5, seed=1)
         tracemalloc.start()
@@ -234,7 +234,7 @@ class TestBaseProcesses:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * bank.right.nbytes
+        assert peak <= 1.25 * (bank.right.nbytes + bank.fine.nbytes)
 
 
 class TestAssemble:
@@ -513,6 +513,9 @@ class TestEstimateLcr:
          [0.3, 0.7, 1.0, 1.5], [7, 508, 1062, 907]),
         (FasConfig(3, 0.1), SimParams(sample_rate=64.0, duration=100.2, seed=5),
          [0.5, 1.0], [80, 103]),
+        # 640,000 samples: blocks of 512, where isqrt(n) would be 800
+        (FasConfig(4, 0.3), SimParams.from_cycles(FasConfig(4, 0.3), 1e4, seed=20260808),
+         [0.3, 0.7, 1.0, 1.5], [67, 4854, 10774, 9086]),
     ])
     def test_seeded_realization_locked(self, cfg, sim, thresholds, crossings):
         # a change to the synthesis must not silently re-draw the channel
@@ -576,6 +579,20 @@ class TestEstimateLcr:
             tracemalloc.stop()
         assert peak < 24 * 2 ** 20
 
+    def test_memory_does_not_grow_with_the_duration(self):
+        # blocks of isqrt(n) samples read 1.96 here; blocks capped at 512, 1.00-1.07
+        cfg = FasConfig(4, 0.3)
+
+        def peak(cycles):
+            tracemalloc.start()
+            try:
+                estimate_lcr(cfg, SimParams.from_cycles(cfg, cycles, seed=1), [0.5, 1.0])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1e5) <= 1.1 * peak(1e4)
+
     def test_walk_matches_runs_per_config(self):
         # port counts out of order, different channel powers, W = 0 among them
         sim = SimParams(sample_rate=64.0, duration=2100.3, seed=83)     # three chunks
@@ -618,25 +635,27 @@ class TestEstimateLcr:
 
     def test_counts_match_a_single_blas_thread_run(self):
         # at 1e3 cycles the synthesized rows of one OpenBLAS thread and of two
-        # differ in the last bits; the crossing counts must not
+        # differ in the last bits; the crossing counts must not.  1e4 cycles
+        # (640,000 samples) runs blocks capped at 512 samples.
         cfgs = [FasConfig(n, 0.3) for n in (1, 2, 4, 8)]
-        sim = SimParams.from_cycles(cfgs[0], duration_cycles=1e3, seed=20260808)
         thresholds = [float(x) for x in np.linspace(0.05, 3.0, 20)]
         code = (
             "import json, numpy as np\n"
             "from faslcr import FasConfig, SimParams, estimate_lcr\n"
             "cfgs = [FasConfig(n, 0.3) for n in (1, 2, 4, 8)]\n"
-            "sim = SimParams.from_cycles(cfgs[0], duration_cycles=1e3, seed=20260808)\n"
             "thresholds = [float(x) for x in np.linspace(0.05, 3.0, 20)]\n"
-            "print(json.dumps([[e.crossings for e in run]\n"
-            "                  for run in estimate_lcr(cfgs, sim, thresholds)]))\n"
+            "print(json.dumps([[[e.crossings for e in run] for run in estimate_lcr(\n"
+            "    cfgs, SimParams.from_cycles(cfgs[0], cycles, seed=20260808), thresholds)]\n"
+            "                  for cycles in (1e3, 1e4)]))\n"
         )
         src = str(Path(faslcr.__file__).resolve().parent.parent)
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120, check=True)
-        want = [[e.crossings for e in run] for run in estimate_lcr(cfgs, sim, thresholds)]
+        want = [[[e.crossings for e in run] for run in estimate_lcr(
+            cfgs, SimParams.from_cycles(cfgs[0], cycles, seed=20260808), thresholds)]
+                for cycles in (1e3, 1e4)]
         assert json.loads(done.stdout) == want
 
     def test_fully_correlated_profile_matches_identical(self):
