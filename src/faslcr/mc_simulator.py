@@ -36,14 +36,15 @@ the direct sum takes M n cosines, and it agrees with the direct sum to
 rounding (about 1e-11 at 640k samples).  The 2N processes are held as one
 stacked bank of their (2M x B) right factors (steps of dt, k < B) and the
 fine tables of their left factors (steps of B dt, with phi_m folded in); any
-range of block rows is evaluated from it on demand.  The left factors of all
-2N processes are built per range in one batch, exactly its rows from the
-coarse rows that range touches, and multiplied by the right factors in one
-stacked product.  A row depends only on its block index, so for a fixed BLAS
-build and thread count a streamed run synthesizes the same bits as the whole
-series.  (The rounding of a product can change with the BLAS thread count:
-rows made with one OpenBLAS thread and with two have differed in the last
-bits, though no crossing count has.)
+range of block rows is evaluated from it on demand.  Each process's left
+factor is built for the range just before its product, exactly its rows from
+the coarse rows that range touches, and multiplied by that process's right
+factor into its slice of the output, so a range holds one process's left
+factor at a time, not all 2N.  A row depends only on its block index, so for
+a fixed BLAS build and thread count a streamed run synthesizes the same bits
+as the whole series.  (The rounding of a product can change with the BLAS
+thread count: rows made with one OpenBLAS thread and with two have differed
+in the last bits, though no crossing count has.)
 
 ``estimate_lcr`` streams, and it walks any number of configs that share
 ``sim`` and f_D in one pass.  Port k reads streams 2k and 2k+1 whatever N
@@ -62,11 +63,12 @@ once; a step down from rank h to rank h' crosses exactly the thresholds of
 rank h' .. h - 1.  Each config's last selected sample of a tile is
 prepended to its next tile, in the same chunk or the next one, so the step
 across a tile or chunk boundary is an ordinary step.  The right factors,
-the chunk buffer and the left factors are bounded by the chunk and the cap
-on B, and the selection and counting buffers by the tile, so memory does not
-grow with the number of configs, nor with the duration but for the fine left
-tables of isqrt(n/B) rows (0.9 MiB at N = 4 and 6.4e6 samples).  The counts
-equal those of the whole series.
+the chunk buffer and the one left factor held are bounded by the chunk and
+the cap on B, and the selection and counting buffers by the tile, so memory
+does not grow with the number of configs, nor with the duration but for the
+fine left tables of isqrt(n/B) rows (0.9 MiB at N = 4 and 6.4e6 samples).
+Beyond the bank and the chunk buffer, it does not grow with N either.  The
+counts equal those of the whole series.
 
 Seeding expands a 64-bit root seed into one substream per process via
 counter-keyed seed sequences: stream 2j drives x_j and stream 2j+1 drives
@@ -87,6 +89,11 @@ from .errors import ConfigError, DomainError, _is_finite_number, _is_whole_numbe
 from .specfun import _as_float_array
 
 # Samples per streamed chunk of estimate_lcr (whole blocks, so about this).
+# Halving it would halve the chunk buffer (3.9 MiB at N = 4), but on a 2-core
+# Xeon with two OpenBLAS threads chunks of 2^15 samples (64 block rows a
+# product) made synthesis 22-23% slower: medians of 43.9 against 35.9 ms and
+# 32.0 against 26.0 ms a walk at N = 4, 1e4 cycles, in two rounds of 30
+# interleaved walks, slower in 30 and 28 of them.
 _CHUNK_SAMPLES = 1 << 16
 # Longest block, in samples.  It bounds the right factors (2M x B per
 # process), so a run's memory stops growing with its duration.  On a 2-core
@@ -247,24 +254,24 @@ def _block_layout(n_samples):
 
 
 def _angle_rows(omegas, step, fine, first, stop):
-    """Rows k = first..stop-1 of exp(i (w k step + phi)), by two-level angle addition.
+    """Rows k = first..stop-1 of one process's exp(i (w k step + phi)), by angle addition.
 
-    ``fine`` is the (g x M) table exp(i (w r step + phi)), r < g, of each
-    process; leading axes of ``omegas`` (..., M) and ``fine`` (..., g, M)
-    batch processes.  With k = q g + r, row k is exp(i w q g step) * fine[r]:
-    only the coarse rows q that the range touches are evaluated, each joined
-    by one multiply to the fine rows of its group that the range holds, and
-    each row depends on k alone, not on ``first`` and ``stop``.
+    ``omegas`` holds the process's M frequencies and ``fine`` is its (g x M)
+    table exp(i (w r step + phi)), r < g; the rows come back as an
+    ((stop - first) x M) complex array.  With two-level angle addition over
+    k = q g + r, row k is exp(i w q g step) * fine[r]: only the coarse rows q
+    that the range touches are evaluated, each joined by one multiply to the
+    fine rows of its group that the range holds, and each row depends on k
+    alone, not on ``first`` and ``stop``.
     """
-    g = fine.shape[-2]
+    g = len(fine)
     q0, q1 = first // g, (stop - 1) // g + 1
     coarse_steps = np.arange(q0, q1) * (g * step)
-    coarse = np.exp(1j * (coarse_steps[:, None] * omegas[..., None, :]))
-    rows = np.empty((*fine.shape[:-2], stop - first, fine.shape[-1]), complex)
+    coarse = np.exp(1j * (coarse_steps[:, None] * omegas))
+    rows = np.empty((stop - first, len(omegas)), complex)
     for q in range(q0, q1):
         lo, hi = max(first, q * g), min(stop, q * g + g)
-        np.multiply(coarse[..., q - q0, None, :], fine[..., lo - q * g:hi - q * g, :],
-                    out=rows[..., lo - first:hi - first, :])
+        np.multiply(coarse[q - q0], fine[lo - q * g:hi - q * g], out=rows[lo - first:hi - first])
     return rows
 
 
@@ -275,7 +282,8 @@ class _ProcessBank:
     Row p of each array belongs to process p (see the module docstring):
     ``omegas`` (2N x M) holds its Doppler frequencies, ``fine`` (2N x g x M)
     the table exp(i (w r B dt + phi)), r < g = isqrt(blocks), from which
-    ``_angle_rows`` builds the left factors, and ``right`` (2N x 2M x B) the
+    ``_angle_rows`` builds its left factor one range at a time when
+    ``_synthesize`` needs it, and ``right`` (2N x 2M x B) the
     factor whose rows 2m and 2m+1 are cos(w_m k dt) and -sin(w_m k dt),
     scaled by 1/sqrt(M).  ``block_dt`` is the time B dt between block starts.
     """
@@ -331,22 +339,24 @@ def _synthesize(bank, sim, first, stop, out=None):
     """Block rows ``first`` to ``stop`` - 1 of every process, cut to ``sim.n_samples``.
 
     The bank's rows alternate x and y, as ``_component_processes`` stacks
-    them.  The left factors are built in one batch, as the complex rows
-    exp(i A) whose float view interleaves cos A and sin A, and multiplied by
-    the right factors in one stacked product.  At least two rows are
+    them.  Each process's left factor is built just before its product, as
+    the complex rows exp(i A) whose float view interleaves cos A and sin A,
+    and multiplied by its right factor into its slice of the output, so only
+    one process's left factor is held at a time.  At least two rows are
     multiplied: numpy hands a single row to BLAS's gemv, whose rounding
     differs from gemm's, and every row must come out the same whichever
-    range it is synthesized in.  The product is written into the leading
+    range it is synthesized in.  The products are written into the leading
     elements of the flat float64 buffer ``out`` when one is given, so that
     each process's samples stay contiguous, and into a new array otherwise.
     """
     block, _ = _block_layout(sim.n_samples)
     n_rows = max(stop - first, 2)
-    left = _angle_rows(bank.omegas, bank.block_dt, bank.fine, first, first + n_rows)
     shape = (len(bank.right), n_rows, block)
-    if out is not None:
-        out = out[:math.prod(shape)].reshape(shape)
-    out = np.matmul(left.view(np.float64), bank.right, out=out).reshape(len(bank.right), -1)
+    out = np.empty(shape) if out is None else out[:math.prod(shape)].reshape(shape)
+    for omegas, fine, right, product in zip(bank.omegas, bank.fine, bank.right, out):
+        left = _angle_rows(omegas, bank.block_dt, fine, first, first + n_rows)
+        np.matmul(left.view(np.float64), right, out=product)
+    out = out.reshape(len(bank.right), -1)
     size = min(stop * block, sim.n_samples) - first * block
     return BaseProcesses(x=out[0::2, :size], y=out[1::2, :size], dt=sim.dt)
 

@@ -580,7 +580,7 @@ class TestEstimateLcr:
         assert peak < 24 * 2 ** 20
 
     def test_memory_does_not_grow_with_the_duration(self):
-        # blocks of isqrt(n) samples read 1.96 here; blocks capped at 512, 1.00-1.07
+        # blocks of isqrt(n) samples read 1.96 here; blocks capped at 512, 1.00-1.08
         cfg = FasConfig(4, 0.3)
 
         def peak(cycles):
@@ -632,6 +632,33 @@ class TestEstimateLcr:
 
         lone = peak(FasConfig(16, 0.3))
         assert peak([FasConfig(n, 0.3) for n in range(2, 17)]) <= 1.1 * lone
+
+    def test_memory_beyond_the_bank_and_chunk_does_not_grow_with_n(self, monkeypatch):
+        # one process's left factor is held at a time: 1.36 and 1.37 MiB
+        # measured at N = 2 and 16; the left factors of all 2N at once read
+        # 1.93 and 5.51
+        sim = SimParams.from_cycles(FasConfig(1, 0.0), duration_cycles=1e4, seed=1)
+        chunks = []
+        synthesize = mc_simulator._synthesize
+
+        def recorded(bank, sim, first, stop, out=None):
+            chunks.append(out.nbytes)
+            return synthesize(bank, sim, first, stop, out)
+
+        monkeypatch.setattr(mc_simulator, "_synthesize", recorded)
+
+        def overhead(cfg):
+            chunks.clear()
+            tracemalloc.start()
+            try:
+                estimate_lcr(cfg, sim, [0.5, 1.0, 1.5])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            bank = _component_processes(cfg, sim)
+            return peak - (bank.right.nbytes + bank.fine.nbytes + chunks[0])
+
+        assert overhead(FasConfig(16, 0.3)) <= 1.1 * overhead(FasConfig(2, 0.3))
 
     def test_counts_match_a_single_blas_thread_run(self):
         # at 1e3 cycles the synthesized rows of one OpenBLAS thread and of two
