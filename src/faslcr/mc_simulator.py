@@ -53,8 +53,9 @@ of a larger one.  The walk takes the block rows in chunks of about
 _CHUNK_SAMPLES samples.  Per chunk it synthesizes the largest N's 2N rows
 once, into one buffer allocated for the whole run.  It then cuts the chunk
 into tiles of _TILE_SAMPLES samples, the last one ragged, and every config
-selects and counts each tile from its leading rows, so the selection and
-counting buffers are tile-length and stay in L2 cache.  Selection is fused:
+selects each tile from its leading component rows, sliced from that buffer,
+into shared buffers, and counts it with a rank and mask of its own, so these
+buffers are tile-length and stay in L2 cache.  Selection is fused:
 a running maximum of the port powers p_k = re_k^2 + im_k^2, then one sqrt
 and one scale by sigma per sample.  fl(sqrt) and multiplication by
 sigma > 0 are monotone, so this is bit-equal to selecting among the port
@@ -396,22 +397,23 @@ def _port_power(x, y, k, mu, out, scratch):
     return out
 
 
-def _select(base, sigma, mu, out, scratch):
+def _select(x, y, sigma, mu, out, scratch):
     """The selected envelope of a port profile ``mu``, written into ``out``.
 
     It is sigma sqrt(max_k p_k) over the port powers p_k of ``_port_power``,
-    read from the leading len(mu) rows of ``base``.  fl(sqrt) and the product
-    with sigma > 0 are monotone, so this equals
+    read from the leading len(mu) rows of the component arrays ``x`` and
+    ``y``, laid out as in ``BaseProcesses``.  fl(sqrt) and the product with
+    sigma > 0 are monotone, so this equals
     ``fas_select(assemble_port_envelopes(...)).samples`` bit for bit, with
     one sqrt and one scale per sample in place of one per port.  Ports at the
     identical-channel cutoff repeat the reference port and are skipped.
     ``scratch`` holds three buffers of the length of ``out``.
     """
     power, pair = scratch[0], scratch[1:]
-    _port_power(base.x, base.y, 0, 0.0, out, pair)
+    _port_power(x, y, 0, 0.0, out, pair)
     for k in range(1, len(mu)):
         if abs(mu[k]) < IDENTICAL_CHANNEL_CUTOFF:
-            np.maximum(out, _port_power(base.x, base.y, k, mu[k], power, pair), out=out)
+            np.maximum(out, _port_power(x, y, k, mu[k], power, pair), out=out)
     np.sqrt(out, out=out)
     out *= sigma
     return out
@@ -461,21 +463,19 @@ def fas_select(envelopes):
     return EnvelopeSeries(samples=selected, dt=dt)
 
 
-def _down_crossings(samples, ascending, rank, mask):
+def _down_crossings(samples, ascending):
     """Downward crossings of each of the ``ascending`` thresholds in ``samples``.
 
     A crossing of t is an index i with samples[i] >= t > samples[i+1].  Each
-    sample's rank h_i = #{j : samples[i] >= t_j} is accumulated in ``rank``,
-    whose integer dtype must hold len(ascending), by one compare-and-add per
-    threshold (``mask`` is a bool buffer).  A step down from h_i to h_(i+1)
-    crosses exactly the thresholds of rank h_(i+1) .. h_i - 1, so two
-    bincounts of the down steps and a cumsum give every count.  Equal
-    thresholds each get the count.  The buffers are at least as long as
-    ``samples``; the counts come back as an int64 array.
+    sample's rank h_i = #{j : samples[i] >= t_j} is accumulated by one
+    compare-and-add per threshold, in the smallest unsigned dtype that holds
+    len(ascending).  A step down from h_i to h_(i+1) crosses exactly the
+    thresholds of rank h_(i+1) .. h_i - 1, so two bincounts of the down steps
+    and a cumsum give every count.  Equal thresholds each get the count.  The
+    counts come back as an int64 array.
     """
-    n = samples.size
-    rank, mask = rank[:n], mask[:n]
-    rank.fill(0)
+    rank = np.zeros(samples.size, np.min_scalar_type(len(ascending)))
+    mask = np.empty(samples.size, bool)
     for t in ascending:
         np.greater_equal(samples, t, out=mask)
         np.add(rank, mask.view(np.uint8), out=rank)
@@ -496,9 +496,7 @@ def count_crossings(series, x_th, f_doppler=None):
     if not isinstance(series, EnvelopeSeries):
         raise ConfigError(f"expected EnvelopeSeries, got {type(series).__name__}")
     x_th = _validate_threshold(x_th)
-    n = series.samples.size
-    crossings = int(_down_crossings(series.samples, (x_th,), np.empty(n, np.uint8),
-                                    np.empty(n, bool))[0])
+    crossings = int(_down_crossings(series.samples, (x_th,))[0])
     return _estimate(x_th, crossings, series.duration, f_doppler)
 
 
@@ -510,7 +508,9 @@ def estimate_lcr(cfg, sim, thresholds):
     ``f_doppler``, for which one such list comes back per config.  All the
     configs are walked over one channel realization, streamed in chunks as
     the module docstring describes, and each config's counts are those of a
-    run on it alone and of the whole series.
+    run on it alone and of the whole series.  Across tiles the walk holds
+    only the chunk buffer, the selected tile, the selection scratch and each
+    config's carried sample.
 
     Deterministic for a fixed (cfg, sim, thresholds), BLAS build and BLAS
     thread count: the whole run derives from the root seed.  The thresholds,
@@ -541,8 +541,6 @@ def estimate_lcr(cfg, sim, thresholds):
         # Slot 0 of ``selected`` holds the previous tile's last selected sample.
         selected = np.empty(_TILE_SAMPLES + 1)
         scratch = [np.empty(_TILE_SAMPLES) for _ in range(3)]
-        rank = np.empty(selected.size, np.min_scalar_type(len(thresholds)))
-        mask = np.empty(selected.size, bool)
         order = np.argsort(thresholds, kind="stable")
         ascending = np.asarray(thresholds)[order]
         # Each config's last selected sample, carried into the next tile.  It
@@ -552,15 +550,13 @@ def estimate_lcr(cfg, sim, thresholds):
         for first, stop in zip(bounds, bounds[1:]):
             base = _synthesize(bank, sim, first, stop, synthesis)
             for lo in range(0, base.x.shape[1], _TILE_SAMPLES):
-                tile = BaseProcesses(x=base.x[:, lo:lo + _TILE_SAMPLES],
-                                     y=base.y[:, lo:lo + _TILE_SAMPLES], dt=sim.dt)
-                size = tile.x.shape[1]
+                x, y = base.x[:, lo:lo + _TILE_SAMPLES], base.y[:, lo:lo + _TILE_SAMPLES]
+                size = x.shape[1]
                 for i, (c, profile) in enumerate(zip(cfgs, profiles)):
-                    _select(tile, c.sigma, profile.mu, selected[1:size + 1],
+                    _select(x, y, c.sigma, profile.mu, selected[1:size + 1],
                             [b[:size] for b in scratch])
                     selected[0] = carried[i]
-                    crossings[i, order] += _down_crossings(selected[:size + 1], ascending,
-                                                           rank, mask)
+                    crossings[i, order] += _down_crossings(selected[:size + 1], ascending)
                     carried[i] = selected[size]
     duration = sim.n_samples * sim.dt
     estimates = [[_estimate(x, int(n), duration, c.f_doppler) for x, n in zip(thresholds, row)]

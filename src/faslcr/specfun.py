@@ -326,6 +326,7 @@ _HANKEL_I1 = (
     -127641.2726461746, -890297.8767070678, -6656367.718817688, -53104110.10968523,
     -450278600.3050393, -4043620325.107754, -38338575207.427895,
 )
+_HANKEL = np.array([_HANKEL_I0, _HANKEL_I1])
 
 
 def _temme_small_side(a, b):
@@ -412,7 +413,7 @@ def _temme_series(z, xi, rho, ex):
 def _hankel_sum(g, xi, rho):
     """sum_n (rho A0_n - A1_n) g_n xi^-n, with g_n in row n - 1 of g (overwritten)."""
     g *= np.cumprod(np.broadcast_to(1.0 / xi, g.shape), axis=0)
-    i0_sum, i1_sum = np.array([_HANKEL_I0, _HANKEL_I1]) @ g
+    i0_sum, i1_sum = _HANKEL @ g
     return rho * i0_sum - i1_sum
 
 

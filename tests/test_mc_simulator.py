@@ -342,7 +342,7 @@ class TestFusedSelection:
         want = fas_select(assemble_port_envelopes(cfg, profile,
                                                   generate_base_processes(cfg, sim))).samples
         size = sim.n_samples
-        got = _select(widest, cfg.sigma, profile.mu, np.empty(size),
+        got = _select(widest.x, widest.y, cfg.sigma, profile.mu, np.empty(size),
                       [np.empty(size) for _ in range(3)])
         assert np.array_equal(got, want)
 
@@ -352,7 +352,7 @@ class TestRankCounting:
         # ties at 1.0 and 0.5 count as above; equal thresholds each get the count
         samples = np.array([2.0, 1.0, 1.0, 0.5, 3.0, 0.0, 0.5, 0.4, 2.5, 2.5, 0.9])
         ascending = (0.4, 0.5, 1.0, 1.0, 2.5, 9.0)
-        got = _down_crossings(samples, ascending, np.empty(11, np.uint8), np.empty(11, bool))
+        got = _down_crossings(samples, ascending)
         assert list(got) == [_crossings_by_rule(samples, x) for x in ascending]
         assert list(got) == [1, 2, 3, 3, 2, 0]
 
@@ -416,13 +416,23 @@ class TestRankCounting:
         assert got == [_crossings_by_rule(s, x) for x in thresholds]
 
     def test_more_thresholds_than_a_byte_holds(self):
+        # 300 thresholds take uint16 ranks: a falling grid and 20 of its
+        # points again, counted by the kernel, by count_crossings and by a
+        # walk of three chunks
         cfg = FasConfig(2, 0.3)
-        sim = SimParams.from_cycles(cfg, duration_cycles=200, seed=3)
+        sim = SimParams(sample_rate=64.0, duration=2100.3, seed=3)
         s = fas_select(assemble_port_envelopes(cfg, correlation_profile(cfg),
                                                generate_base_processes(cfg, sim))).samples
-        thresholds = [float(x) for x in np.linspace(3.0, 0.01, 300)]
-        got = [e.crossings for e in estimate_lcr(cfg, sim, thresholds)]
-        assert got == [_crossings_by_rule(s, x) for x in thresholds]
+        assert sim.n_samples > 2 * mc_simulator._CHUNK_SAMPLES
+        grid = np.linspace(3.0, 0.01, 280)
+        thresholds = [float(x) for x in (*grid, *grid[::14])]
+        want = [_crossings_by_rule(s, x) for x in thresholds]
+        order = np.argsort(thresholds, kind="stable")
+        got = _down_crossings(s, np.asarray(thresholds)[order])
+        assert list(got) == [want[i] for i in order]
+        series = EnvelopeSeries(s, sim.dt)
+        assert [count_crossings(series, x).crossings for x in thresholds] == want
+        assert [e.crossings for e in estimate_lcr(cfg, sim, thresholds)] == want
 
 
 class TestCountCrossings:
@@ -580,16 +590,19 @@ class TestEstimateLcr:
         assert peak < 24 * 2 ** 20
 
     def test_memory_does_not_grow_with_the_duration(self):
-        # blocks of isqrt(n) samples read 1.96 here; blocks capped at 512, 1.00-1.08
+        # beyond the fine left tables, which grow as isqrt(n/B) rows: blocks
+        # of isqrt(n) samples read 2.18 here; blocks capped at 512, 1.02
         cfg = FasConfig(4, 0.3)
 
         def peak(cycles):
+            sim = SimParams.from_cycles(cfg, cycles, seed=1)
             tracemalloc.start()
             try:
-                estimate_lcr(cfg, SimParams.from_cycles(cfg, cycles, seed=1), [0.5, 1.0])
-                return tracemalloc.get_traced_memory()[1]
+                estimate_lcr(cfg, sim, [0.5, 1.0])
+                peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+            return peak - _component_processes(cfg, sim).fine.nbytes
 
         assert peak(1e5) <= 1.1 * peak(1e4)
 
