@@ -56,8 +56,7 @@ from .mc_simulator import (
 from .specfun import (
     bessel_i0_scaled,
     bessel_j0,
-    lower_gamma_int,
     marcum_q1,
 )
 
-__version__ = "0.3.1"
+__version__ = "0.4.0"

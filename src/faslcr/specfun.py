@@ -1,11 +1,10 @@
 """Self-contained, overflow-safe special-function kernel.
 
-Provides the four primitives the crossing-rate formulas are built from:
+Provides the three primitives the crossing-rate formulas are built from:
 
 * ``bessel_j0``        -- J0(x), Bessel function of the first kind, order zero
 * ``bessel_i0_scaled`` -- exp(-|x|) * I0(x), modified Bessel, order zero
 * ``marcum_q1``        -- Q1(a, b), first-order Marcum Q-function
-* ``lower_gamma_int``  -- gamma(k+1, x), lower incomplete gamma, integer order
 
 Both Bessel functions are even and switch branch at |x| = 8 through one
 wrapper, ``_even_function``: J0 is a power series below, sized by the call's
@@ -41,13 +40,12 @@ import reprlib
 
 import numpy as np
 
-from .errors import DomainError, _is_finite_number, _is_whole_number
+from .errors import DomainError
 
 __all__ = [
     "bessel_j0",
     "bessel_i0_scaled",
     "marcum_q1",
-    "lower_gamma_int",
 ]
 
 # |x| at which both Bessel evaluators switch branch: J0's power series is
@@ -465,59 +463,3 @@ def _horner(coefs, t):
     for c in coefs[1:]:
         out = out * t + c
     return out
-
-
-# ---------------------------------------------------------------------------
-# Lower incomplete gamma, integer order
-# ---------------------------------------------------------------------------
-
-def lower_gamma_int(k, x):
-    """gamma(k+1, x) = integral_0^x t^k exp(-t) dt for integer k >= 0.
-
-    For x < k+1 the ascending series is used (no cancellation); for x >= k+1
-    the closed form k! (1 - Pr[Poisson(x) <= k]) is safe because the Poisson
-    CDF is at most about 1/2 there.  A power that could overflow is formed in
-    logs, so huge x or k give k! or inf, never nan or an OverflowError.
-    Monotone nondecreasing in x with limit k!.
-    """
-    if not (_is_whole_number(k) and k >= 0):
-        raise DomainError(f"k must be a nonnegative integer, got {k!r}")
-    if not (_is_finite_number(x) and x >= 0.0):
-        raise DomainError(f"x must be finite and >= 0, got {x!r}")
-    k = int(k)
-    xf = float(x)
-    if xf == 0.0:
-        return 0.0
-    if xf < k + 1.0:
-        # gamma(k+1, x) = x^(k+1) e^-x sum_{j>=0} x^j / ((k+1)(k+2)...(k+1+j))
-        term = 1.0 / (k + 1)
-        total = term
-        denom = k + 1
-        while True:
-            denom += 1
-            term *= xf / denom
-            total += term
-            if term <= 1e-17 * total:
-                break
-        try:
-            return math.exp((k + 1) * math.log(xf) - xf + math.log(total))
-        except OverflowError:
-            return math.inf
-    if k > 170:
-        # k! is past the double range, and the bracket below is >= ~1/2
-        return math.inf
-    # Pr[Poisson(x) <= k] summed downward from its top term e^-x x^k/k!; the
-    # terms fall as j drops, since j <= k < x.  The top term is a product
-    # while e^-x is a normal double (x^k/k! < e^x cannot overflow then), and
-    # is formed in logs beyond.
-    if xf <= 700.0:
-        term = math.exp(-xf)
-        for j in range(1, k + 1):
-            term *= xf / j
-    else:
-        term = math.exp(k * math.log(xf) - xf - math.lgamma(k + 1))
-    cdf = term
-    for j in range(k, 0, -1):
-        term *= j / xf
-        cdf += term
-    return math.factorial(k) * (1.0 - cdf)

@@ -45,15 +45,6 @@ def marcum_q1_quad(a, b):
     return val
 
 
-def lower_gamma_quad(k, x):
-    """gamma(k+1, x) by adaptive quadrature of t^k exp(-t)."""
-    val, _ = integrate.quad(
-        lambda t: t ** k * math.exp(-t), 0.0, x,
-        epsabs=1e-15, epsrel=1e-13, limit=400,
-    )
-    return val
-
-
 def clarke_process_direct(rng, n_samples, dt, f_doppler, n_sinusoids):
     """Clarke sum-of-sinusoids process as a direct per-sinusoid cosine sum.
 
