@@ -10,7 +10,6 @@ from .channel_model import (
     IDENTICAL_CHANNEL_CUTOFF,
     CorrelationProfile,
     FasConfig,
-    bivariate_pdf,
     correlation_profile,
     joint_pdf,
 )
@@ -59,4 +58,4 @@ from .specfun import (
     marcum_q1,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -1,4 +1,4 @@
-"""System parameterization, spatial-correlation law, and envelope densities.
+"""System parameterization, spatial-correlation law, and the joint envelope density.
 
 A fluid antenna occupies one of ``n_ports`` locations spread evenly over a
 linear space of ``aperture`` wavelengths.  Port 1 is the reference; the
@@ -22,7 +22,6 @@ __all__ = [
     "CorrelationProfile",
     "correlation_profile",
     "joint_pdf",
-    "bivariate_pdf",
 ]
 
 # Largest aperture for which every correlation argument stays below the first
@@ -109,17 +108,15 @@ def _validate_threshold(x_th):
 
 
 def _validate_mu(mu):
-    """A pair correlation as a float.
-
-    DomainError unless it is a number in [0, 1]; SingularityError at or
-    above the identical-channel cutoff, where the pair density is singular.
-    """
-    if not (_is_finite_number(mu) and 0.0 <= mu <= 1.0):
-        raise DomainError(f"mu must be a number in [0, 1], got {mu!r}")
-    mu = float(mu)
+    """|mu| of a pair correlation as a float, since the model depends on |mu| only.
+    DomainError unless mu is a number in [-1, 1], the profile's domain;
+    SingularityError where |mu| is at or above the identical-channel cutoff."""
+    if not (_is_finite_number(mu) and abs(mu) <= 1.0):
+        raise DomainError(f"mu must be a number in [-1, 1], got {mu!r}")
+    mu = abs(float(mu))
     if mu >= IDENTICAL_CHANNEL_CUTOFF:
         raise SingularityError(
-            f"mu = {mu!r} is at the identical-channel singularity; use lcr_identical")
+            f"|mu| = {mu!r} is at the identical-channel singularity; use lcr_identical")
     return mu
 
 
@@ -182,7 +179,8 @@ def joint_pdf(cfg, profile, point):
     """Joint density of the N port envelopes at ``point`` (length-N vector).
 
     The density is a product of N bivariate factors, each tying port k to the
-    reference port; it is not a general N-variate Rayleigh law.
+    reference port; it is not a general N-variate Rayleigh law.  At N = 2 it
+    is the pair's bivariate Rayleigh density, symmetric in (x1, x2).
     """
     _check_profile(cfg, profile)
     x = _as_float_array(point, "envelope amplitudes")[0]
@@ -196,16 +194,3 @@ def joint_pdf(cfg, profile, point):
         density = density * _pair_density_factor(sigma2, profile.mu[k], x[0], x[k])
     return float(density)
 
-
-def bivariate_pdf(sigma2, mu, x1, x2):
-    """Two-port specialization of the joint envelope density; symmetric in (x1, x2)."""
-    if not (_is_finite_number(sigma2) and sigma2 > 0.0):
-        raise DomainError(f"sigma2 must be finite and > 0, got {sigma2!r}")
-    mu = _validate_mu(mu)
-    if not all(_is_finite_number(x) and x >= 0.0 for x in (x1, x2)):
-        raise DomainError(f"x1 and x2 must be finite and >= 0, got {x1!r} and {x2!r}")
-    # convert first: a huge int passes the number rule, but its square is no float
-    x1 = float(x1)
-    x2 = float(x2)
-    return float(_pair_density_factor(sigma2, 0.0, x1, x1)
-                 * _pair_density_factor(sigma2, mu, x1, x2))

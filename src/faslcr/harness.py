@@ -46,12 +46,19 @@ METHODS = ("theorem1", "iid", "identical", "two_port_series", "monte_carlo")
 
 
 def db_to_linear(db, sigma):
-    """Threshold amplitude from a level in dB relative to the RMS envelope."""
-    return sigma * 10.0 ** (db / 20.0)
+    """Threshold amplitude from a level in dB relative to the RMS envelope; inf on overflow."""
+    try:
+        return sigma * 10.0 ** (db / 20.0)
+    except OverflowError:
+        return math.inf
 
 
 def linear_to_db(x_th, sigma):
-    return 20.0 * math.log10(x_th / sigma)
+    """Level of ``x_th`` in dB relative to ``sigma``, from the difference of
+    logs where the ratio x_th / sigma is no normal float."""
+    ratio = x_th / sigma
+    normal = sys.float_info.min <= ratio <= sys.float_info.max
+    return 20.0 * (math.log10(ratio) if normal else math.log10(x_th) - math.log10(sigma))
 
 
 @dataclass(frozen=True)
@@ -311,10 +318,8 @@ def _parse_grid(text, kind=float):
             return tuple(kind(v) for v in text.split(","))
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 1:
-            raise ConfigError(f"grid count must be >= 1, got {count}")
+            raise ValueError(f"grid count must be >= 1, got {count}")
         return tuple(kind(v) for v in np.linspace(lo, hi, count))
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"cannot parse grid {text!r}: {exc}") from exc
 
@@ -328,7 +333,7 @@ def _whole_number(value):
 
 
 def _load_config_file(path):
-    """key = value lines; '#' starts a comment; keys mirror the CLI flags."""
+    """key = value (or key: value) lines; '#' starts a comment; keys mirror the CLI flags."""
     values = {}
     try:
         with open(path) as fh:
@@ -336,13 +341,10 @@ def _load_config_file(path):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
-                for sep in ("=", ":"):
-                    if sep in line:
-                        key, _, val = line.partition(sep)
-                        values[key.strip().replace("-", "_")] = val.strip()
-                        break
-                else:
+                key, sep, val = line.partition("=" if "=" in line else ":")
+                if not sep:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+                values[key.strip().replace("-", "_")] = val.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     return values

@@ -128,7 +128,7 @@ _INITIAL_EDGES = (0.0, 0.5, 0.75, 0.875, 0.9375, 1.0)
 # ---------------------------------------------------------------------------
 
 def _integrate_adaptive(f, lo, hi):
-    """Integrate a smooth vectorised integrand over [lo, hi] adaptively.
+    """Integrate a smooth vectorised integrand over [lo, hi], lo < hi, adaptively.
 
     The interval starts as the panels of ``_INITIAL_EDGES``, graded toward
     ``hi`` where the theorem1 integrand has its boundary layer, and the cuts
@@ -139,8 +139,6 @@ def _integrate_adaptive(f, lo, hi):
     width-proportional share of the budget are bisected.  All pending panels
     are evaluated in a single integrand call per round, of 21 nodes each.
     """
-    if hi <= lo:
-        return 0.0
     width = hi - lo
     edges = lo + width * np.array(_INITIAL_EDGES)
     a, b = edges[:-1], edges[1:]
@@ -322,7 +320,8 @@ def lcr_two_port_series(cfg, mu, x_th):
     y reaches ~1e6), that call takes Temme's expansion, and elsewhere the
     Bessel series, each at a fixed cost.  Where 1 - Q1 is small it is
     computed directly, not as 1 minus Q1, so the rate stays exact in deep
-    fades (x_th down to 1e-10 sigma).
+    fades (x_th down to 1e-10 sigma).  The rate depends on |mu| only: mu may
+    be any number in [-1, 1] with |mu| below the identical-channel cutoff.
     """
     _check_config(cfg)
     x_th = _validate_threshold(x_th)

@@ -11,7 +11,6 @@ from faslcr.channel_model import (
     IDENTICAL_CHANNEL_CUTOFF,
     CorrelationProfile,
     FasConfig,
-    bivariate_pdf,
     correlation_profile,
     joint_pdf,
 )
@@ -131,14 +130,6 @@ class TestJointPdf:
         got = joint_pdf(cfg, prof, [1.0, 1.0])
         assert got == pytest.approx(0.5545093557144033, rel=1e-12)
 
-    def test_matches_bivariate_specialization(self):
-        cfg = FasConfig(2, 0.1, sigma2=1.7)
-        prof = CorrelationProfile(mu=(0.0, 0.5))
-        for x1, x2 in [(0.3, 1.1), (1.0, 1.0), (2.0, 0.2)]:
-            assert joint_pdf(cfg, prof, [x1, x2]) == pytest.approx(
-                bivariate_pdf(1.7, 0.5, x1, x2), rel=1e-13
-            )
-
     def test_nonnegative_and_matches_oracle(self):
         cfg = FasConfig(3, 0.3, sigma2=1.3)
         prof = correlation_profile(cfg)
@@ -161,8 +152,9 @@ class TestJointPdf:
         cfg = FasConfig(2, 0.0)
         with pytest.raises(SingularityError):
             joint_pdf(cfg, correlation_profile(cfg), [1.0, 1.0])
-        with pytest.raises(SingularityError):
-            joint_pdf(cfg, CorrelationProfile(mu=(0.0, 1.0 - 1e-10)), [1.0, 1.0])
+        for mu in (1.0 - 1e-10, IDENTICAL_CHANNEL_CUTOFF, -IDENTICAL_CHANNEL_CUTOFF):
+            with pytest.raises(SingularityError):
+                joint_pdf(cfg, CorrelationProfile(mu=(0.0, mu)), [1.0, 1.0])
 
     def test_domain_and_config_errors(self):
         cfg = FasConfig(2, 0.1)
@@ -181,46 +173,31 @@ class TestJointPdf:
 
 
 class TestBivariatePdf:
+    """joint_pdf at N = 2: the bivariate Rayleigh density of a port pair."""
+
+    @staticmethod
+    def pdf(sigma2, mu):
+        """(x1, x2) -> the pair density at channel power sigma2 and correlation mu."""
+        cfg = FasConfig(2, 0.1, sigma2=sigma2)
+        prof = CorrelationProfile(mu=(0.0, mu))
+        return lambda x1, x2: joint_pdf(cfg, prof, [x1, x2])
+
     def test_independent_product_form(self):
+        pdf = self.pdf(1.0, 0.0)
         for x1, x2 in [(0.5, 0.5), (1.0, 2.0), (0.1, 3.0)]:
-            got = bivariate_pdf(1.0, 0.0, x1, x2)
             want = 4.0 * x1 * x2 * math.exp(-x1 * x1 - x2 * x2)
-            assert got == pytest.approx(want, rel=1e-14)
+            assert pdf(x1, x2) == pytest.approx(want, rel=1e-14)
 
     def test_symmetry(self):
-        assert bivariate_pdf(1.4, 0.6, 0.8, 1.9) == pytest.approx(
-            bivariate_pdf(1.4, 0.6, 1.9, 0.8), rel=1e-14
-        )
+        pdf = self.pdf(1.4, 0.6)
+        assert pdf(0.8, 1.9) == pytest.approx(pdf(1.9, 0.8), rel=1e-14)
 
-    @pytest.mark.parametrize("mu", [0.0, 0.3, 0.7, 0.95])
+    @pytest.mark.parametrize("mu", [0.0, 0.3, 0.7, 0.95, -0.7])
     def test_normalization(self, mu):
         # integral over the truncated quadrant [0, 8 sigma]^2 is 1 to 1e-6
+        pdf = self.pdf(1.0, mu)
         val, _ = integrate.dblquad(
-            lambda x2, x1: bivariate_pdf(1.0, mu, x1, x2),
+            lambda x2, x1: pdf(x1, x2),
             0.0, 8.0, 0.0, 8.0, epsabs=1e-9, epsrel=1e-8,
         )
         assert val == pytest.approx(1.0, abs=1e-6)
-
-    def test_errors(self):
-        with pytest.raises(SingularityError):
-            bivariate_pdf(1.0, 1.0, 1.0, 1.0)
-        with pytest.raises(SingularityError):
-            bivariate_pdf(1.0, IDENTICAL_CHANNEL_CUTOFF, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            bivariate_pdf(1.0, -0.2, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            bivariate_pdf(1.0, "0.5", 1.0, 1.0)
-        with pytest.raises(DomainError):
-            bivariate_pdf(1.0, False, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            bivariate_pdf(1.0, 0.5, -1.0, 1.0)
-        with pytest.raises(DomainError):
-            bivariate_pdf(0.0, 0.5, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            bivariate_pdf(True, 0.5, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            bivariate_pdf(1.0, 1.5, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            bivariate_pdf(1.0, 0.5, "1.0", 1.0)
-        with pytest.raises(DomainError):
-            bivariate_pdf(1.0, 0.5, 1.0, True)

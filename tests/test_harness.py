@@ -101,6 +101,21 @@ class TestDbConversion:
     def test_zero_db_is_rms(self):
         assert db_to_linear(0.0, 1.7) == pytest.approx(1.7, rel=1e-15)
 
+    def test_overflow_is_infinite(self):
+        # the threshold rule then refuses inf, as it refuses a linear 1e400, and 0.0
+        assert db_to_linear(7000.0, 1.0) == math.inf
+        assert db_to_linear(6000.0, 1e10) == math.inf
+        assert db_to_linear(-7000.0, 1.0) == 0.0
+
+    def test_ratio_out_of_the_normal_floats(self):
+        # x / sigma underflows (1e-350) or is subnormal (1e-310), or overflows
+        assert linear_to_db(1e-300, 1e50) == pytest.approx(-7000.0, rel=1e-15)
+        assert linear_to_db(1e-300, 1e10) == pytest.approx(-6200.0, rel=1e-15)
+        assert linear_to_db(1e300, 1e-150) == pytest.approx(9000.0, rel=1e-15)
+        # at sigma = 1 the ratio is the threshold itself, so its level is exact
+        for x in (1e-300, 1e-10, 0.05, 0.5, 1.0, 3.0, 1e300):
+            assert linear_to_db(x, 1.0) == 20.0 * math.log10(x)
+
 
 class TestRunSweep:
     def test_single_port_closed_forms_coincide(self):
@@ -224,6 +239,12 @@ class TestCompareMethods:
         ]
         with pytest.raises(ConfigError):
             compare_methods(rows)
+        mc_only = [ResultRow(n=2, w=0.1, threshold_linear=1.0, threshold_db=0.0,
+                             method="monte_carlo", nlcr=1.0, raw_rate=1.0)]
+        with pytest.raises(ConfigError, match="no reference method to compare against"):
+            compare_methods(mc_only)
+        with pytest.raises(ConfigError, match="rows contain no 'theorem1' entries"):
+            compare_methods(rows + mc_only, reference_method="theorem1")
 
 
 class TestCsv:
@@ -241,6 +262,12 @@ class TestCsv:
         emit_csv(self.rows(), buf)
         parsed = read_csv(io.StringIO(buf.getvalue()))
         assert parsed == self.rows()
+        # blank lines are skipped
+        assert read_csv(io.StringIO(buf.getvalue().replace("\n", "\n\n"))) == self.rows()
+
+    def test_unexpected_header_refused(self):
+        with pytest.raises(ConfigError, match="unexpected CSV header 'n,w,threshold'"):
+            read_csv(io.StringIO("n,w,threshold\n"))
 
     def test_random_round_trip(self):
         rng = np.random.default_rng(23)
@@ -303,6 +330,7 @@ class TestCsv:
         "2,0.1,1.0,0.0,iid,abc,0.5,,",                       # non-numeric nlcr
         ",0.1,1.0,0.0,iid,0.5,0.5,,",                        # blank required cell
         "2,0.1,1.0,0.0,monte_carlo,0.5,0.5,1.5,200.0",       # fractional crossings
+        "2,0.1,1.0,0.0,iid,0.5,0.5,",                        # a cell short
     ])
     def test_malformed_cell_names_the_line(self, line):
         buf = io.StringIO()
@@ -398,6 +426,8 @@ class TestCli:
         assert main(["sweep", "--n", "2", "--w", "0.1", "--methods", "bogus",
                      "--thresholds", "1.0"]) == 2
         assert main(["analytic", "--n", "2", "--w", "0.1", "--method", "iid"]) == 2  # no thresholds
+        assert main(["analytic", "--thresholds", "1", "--thresholds-db", "0"]) == 2
+        assert "mutually exclusive" in capsys.readouterr().err
 
     def test_analytic_refuses_monte_carlo(self, capsys):
         # analytic takes no sim parameters, so it must not run a simulation
@@ -418,7 +448,7 @@ class TestCli:
             "w = 0.0\n"
             "method = identical\n"
             "thresholds = 1.0\n"
-            "fd = 2.0\n"
+            "fd: 2.0\n"                 # the key: value form
         )
         assert main(["analytic", "--config", str(cfgfile)]) == 0
         row = read_csv(io.StringIO(capsys.readouterr().out))[0]
@@ -435,6 +465,17 @@ class TestCli:
             cfgfile.write_text(f"{key} = 2\n")
             assert main(["analytic", "--config", str(cfgfile), "--thresholds", "1.0"]) == 2
             assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("n = 2\nthresholds 1.0\n", "2: expected 'key = value', got 'thresholds 1.0\\n'"),
+        (None, "cannot read config file"),
+    ], ids=["no_separator", "unreadable"])
+    def test_bad_config_file_exits_2(self, text, message, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        if text is not None:
+            cfgfile.write_text(text)
+        assert main(["analytic", "--config", str(cfgfile)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"
@@ -453,11 +494,48 @@ class TestCli:
         (["--thresholds", "0.5:1:x"], "cannot parse grid '0.5:1:x'"),
         (["--thresholds", "0.5:1:0.5"], "cannot parse grid '0.5:1:0.5'"),
         (["--seed", "abc"], "bad value for --seed: 'abc'"),   # checked though iid never simulates
+        (["--thresholds", "0.5:1"], "grid spec must be lo:hi:count, got '0.5:1'"),
+        (["--thresholds", "0.5:1:0"], "grid count must be >= 1, got 0"),
     ])
     def test_malformed_value_exits_2(self, flags, message, capsys):
         argv = ["sweep", "--n", "2", "--w", "0.3", "--thresholds", "1.0", "--methods", "iid"]
         assert main(argv + flags) == 2          # a repeated flag's last value wins
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, code, message", [
+        (["--thresholds", "1e400"], 2, "threshold must be finite and > 0, got inf"),
+        (["--thresholds-db", "7000"], 2, "threshold must be finite and > 0, got inf"),
+        (["--thresholds-db", "-7000"], 2, "threshold must be finite and > 0, got 0.0"),
+        (["--thresholds", "1e-300", "--sigma2", "1e100"], 0, None),
+        (["--thresholds", "1e300", "--sigma2", "1e-300"], 0, None),
+    ], ids=["linear_overflow", "db_overflow", "db_underflow", "ratio_underflow",
+            "ratio_overflow"])
+    def test_extreme_thresholds_never_raise(self, flags, code, message, capsys):
+        assert main(["analytic", "--n", "2", "--w", "0.3"] + flags) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert message in err
+        else:
+            assert err == ""
+            assert all(math.isfinite(r.threshold_db) for r in read_csv(io.StringIO(out)))
+
+    def test_two_port_series_takes_a_negative_correlation(self, tmp_path, capsys):
+        # W = 0.5 is past the first zero of J0, so the profile's mu_2 < 0
+        grid = ["--n", "2", "--w", "0.5", "--thresholds", "0.05:3:20"]
+        rows = {}
+        for method in ("two_port_series", "theorem1"):
+            assert main(["analytic", "--method", method] + grid) == 0
+            rows[method] = read_csv(io.StringIO(capsys.readouterr().out))
+        assert len(rows["theorem1"]) == 20
+        for series, exact in zip(rows["two_port_series"], rows["theorem1"]):
+            assert series.nlcr == pytest.approx(exact.nlcr, rel=0.0, abs=1e-8)
+        out = tmp_path / "rows.csv"
+        assert main(["compare", "--method", "two_port_series", "--duration-cycles", "1000",
+                     "--seed", "5", "--tolerance", "0.25", "--out", str(out)] + grid) == 0
+        printed = capsys.readouterr().out
+        assert "(monte_carlo vs two_port_series" in printed
+        assert f"rows written to {out}" in printed and "PASS" in printed
+        assert len(read_csv(str(out))) == 2 * 20
 
 
 # One sample value per option, none of them its default.

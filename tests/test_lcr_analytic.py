@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from faslcr import lcr_analytic, specfun
-from faslcr.channel_model import CorrelationProfile, FasConfig, correlation_profile
+from faslcr.channel_model import (
+    IDENTICAL_CHANNEL_CUTOFF,
+    CorrelationProfile,
+    FasConfig,
+    correlation_profile,
+)
 from faslcr.errors import AccuracyError, ConfigError, DomainError, SingularityError
 from faslcr.lcr_analytic import (
     _INITIAL_EDGES,
@@ -211,18 +216,26 @@ class TestTwoPortSeries:
 
     def test_errors(self):
         cfg = FasConfig(2, 0.1)
-        with pytest.raises(SingularityError):
-            lcr_two_port_series(cfg, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            lcr_two_port_series(cfg, -0.2, 1.0)
+        for mu in (1.0, -1.0, IDENTICAL_CHANNEL_CUTOFF, -IDENTICAL_CHANNEL_CUTOFF):
+            with pytest.raises(SingularityError):
+                lcr_two_port_series(cfg, mu, 1.0)
+        # the profile's domain is [-1, 1], and the rate depends on |mu| only
+        assert lcr_two_port_series(cfg, -0.2, 1.0) == lcr_two_port_series(cfg, 0.2, 1.0)
         with pytest.raises(DomainError):
             lcr_two_port_series(cfg, 0.5, -1.0)
         with pytest.raises(DomainError):
             lcr_two_port_series(cfg, "0.5", 1.0)
-        with pytest.raises(DomainError):
-            lcr_two_port_series(cfg, 1.5, 1.0)
+        for mu in (1.5, -1.5, -1.0 - 1e-15):
+            with pytest.raises(DomainError):
+                lcr_two_port_series(cfg, mu, 1.0)
         with pytest.raises(ConfigError):
             lcr_two_port_series("not a config", 0.5, 1.0)
+
+    @pytest.mark.parametrize("mu", [0.2, 0.5, 0.9])
+    def test_negative_correlation_gives_the_rate_of_its_magnitude(self, mu):
+        cfg = FasConfig(2, 0.1, sigma2=1.3, f_doppler=2.0)
+        for x in (1e-8, 0.05, 1.0, 3.0):
+            assert lcr_two_port_series(cfg, -mu, x) == lcr_two_port_series(cfg, mu, x)
 
     def test_numpy_scalar_correlations_accepted(self):
         cfg = FasConfig(2, 0.1)
@@ -323,7 +336,7 @@ class TestTheorem1:
             t = lcr_theorem1(cfg, prof, float(x))
             assert t == pytest.approx(lcr_iid(cfg, float(x)), rel=1e-10)
 
-    @pytest.mark.parametrize("mu", [0.0, 0.3, 0.6, 0.9])
+    @pytest.mark.parametrize("mu", [0.0, 0.3, 0.6, 0.9, -0.6])
     def test_two_port_path_equivalence(self, mu):
         cfg = FasConfig(2, 0.1, sigma2=1.0, f_doppler=1.0)
         prof = CorrelationProfile(mu=(0.0, mu))

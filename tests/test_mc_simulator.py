@@ -510,8 +510,14 @@ class TestCountCrossings:
             BaseProcesses(np.zeros((1, 2)), np.zeros((1, 2)), math.nan)
         with pytest.raises(ConfigError):
             BaseProcesses(np.zeros((1, 2)), np.zeros((1, 2)), True)
+        for x, y in ((np.zeros((1, 2)), np.zeros((1, 3))), (np.zeros(2), np.zeros(2))):
+            with pytest.raises(ConfigError, match="matching 2-D arrays"):
+                BaseProcesses(x, y, 1.0)
         with pytest.raises(DomainError):
             count_crossings(EnvelopeSeries(np.array([1.0, 2.0]), 1.0), 0.0)
+        for check in (lambda s: count_crossings(s, 1.0), slope_moment_check):
+            with pytest.raises(ConfigError, match="expected EnvelopeSeries, got ndarray"):
+                check(np.array([1.0, 2.0]))
 
 
 class TestEstimateLcr:
@@ -774,3 +780,5 @@ class TestMergeEstimates:
         ]
         with pytest.raises(ConfigError):
             merge_estimates(parts)
+        with pytest.raises(ConfigError, match="at least one estimate"):
+            merge_estimates([])
