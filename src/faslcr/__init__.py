@@ -37,7 +37,6 @@ from .lcr_analytic import (
     lcr_iid,
     lcr_theorem1,
     lcr_two_port_series,
-    surviving_product,
 )
 from .mc_simulator import (
     BaseProcesses,
@@ -58,4 +57,4 @@ from .specfun import (
     marcum_q1,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

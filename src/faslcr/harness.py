@@ -45,8 +45,17 @@ __all__ = [
 METHODS = ("theorem1", "iid", "identical", "two_port_series", "monte_carlo")
 
 
+def _check_sigma(sigma):
+    if not (_is_finite_number(sigma) and sigma > 0.0):
+        raise DomainError(f"sigma must be a finite number > 0, got {sigma!r}")
+
+
 def db_to_linear(db, sigma):
-    """Threshold amplitude from a level in dB relative to the RMS envelope; inf on overflow."""
+    """Threshold amplitude from a level in dB relative to the RMS envelope;
+    inf on overflow.  ``db`` may be nan or infinite, but not a bool."""
+    if not (_is_finite_number(db) or isinstance(db, (float, np.floating))):
+        raise DomainError(f"db must be a number, got {db!r}")
+    _check_sigma(sigma)
     try:
         return sigma * 10.0 ** (db / 20.0)
     except OverflowError:
@@ -54,8 +63,10 @@ def db_to_linear(db, sigma):
 
 
 def linear_to_db(x_th, sigma):
-    """Level of ``x_th`` in dB relative to ``sigma``, from the difference of
-    logs where the ratio x_th / sigma is no normal float."""
+    """Level of ``x_th`` in dB relative to ``sigma``, both finite and > 0, from
+    the difference of logs where the ratio x_th / sigma is no normal float."""
+    x_th = _validate_threshold(x_th)
+    _check_sigma(sigma)
     ratio = x_th / sigma
     normal = sys.float_info.min <= ratio <= sys.float_info.max
     return 20.0 * (math.log10(ratio) if normal else math.log10(x_th) - math.log10(sigma))
@@ -288,7 +299,7 @@ def read_csv(source):
             raise ConfigError(f"unexpected CSV header {header!r}")
         rows = []
         for line in fh:
-            line = line.rstrip("\n")
+            line = line.rstrip("\r\n")
             if not line:
                 continue
             cells = line.split(",")

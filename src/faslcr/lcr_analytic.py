@@ -1,35 +1,38 @@
 """Exact N-port level crossing rate and its closed-form specializations.
 
-With s_k = sigma^2 (1 - mu_k^2), let
+The rate depends on the threshold only through rho = x_th/sigma, so the
+integral runs in units of sigma: over u = x1/sigma, the reference amplitude
+in units of sigma.  With s_k = 1 - mu_k^2, let
 
-    F_k(x1) = 1 - Q1(sqrt(2 mu_k^2/s_k) x1, sqrt(2/s_k) x_th),   k = 2..N,
+    F_k(u) = 1 - Q1(a_k u, b_k),   a_k = sqrt(2 mu_k^2/s_k),  b_k = sqrt(2/s_k) rho,
 
-be the probability that port k stays below the threshold given the reference
-amplitude x1, and P_{-i} = prod_{k != i} F_k the product that leaves port i
-out.  The downward crossing rate of the selected envelope at ``x_th`` is
+for k = 2..N, be the probability that port k stays below the threshold given
+the reference amplitude, and P_{-i} = prod_{k != i} F_k the product that
+leaves port i out.  The downward crossing rate of the selected envelope at
+``x_th`` is
 
-    L(x_th) = sqrt(2 pi) x_th f_D / sigma
-              * { exp(-x_th^2/sigma^2) prod_k F_k(x_th)
-                  + int_0^{x_th} sum_{i=2}^N g_i(x1) P_{-i}(x1) / (1 - mu_i^2) dx1 }
+    L(x_th) = sqrt(2 pi) rho f_D
+              * { exp(-rho^2) prod_k F_k(rho)
+                  + int_0^rho sum_{i=2}^N g_i(u) P_{-i}(u) / s_i du }
 
-with g_i(x1) = (2 x1/sigma^2) exp(-(x_th^2 + x1^2)/s_i) I0(2 |mu_i| x_th x1/s_i).
+with g_i(u) = 2 u exp(-(rho^2 + u^2)/s_i) I0(2 |mu_i| rho u/s_i).
 The first term covers the reference port carrying the maximum, and summand
 i covers port i doing so.  The N - 1 factors are computed once per
 quadrature node, every P_{-i} comes from prefix and suffix products of them,
 and the summed integrand is integrated in one adaptive pass, so the Marcum
 work per node grows like N rather than N^2.  Summand i has a boundary layer
-at x1 = x_th, of width ~sqrt(s_i), so the pass starts from five panels
-graded toward x_th.  Its first round also evaluates the factors at
-x1 = x_th for the first term, so a point makes exactly one Marcum kernel
-call per quadrature round.  g_i reuses the scaled I0 that the kernel takes,
-as its argument is that of the Marcum factor, xi = a_i x1 b_i.
+at u = rho, of width ~sqrt(s_i), so the pass starts from five panels graded
+toward rho.  Its first round also evaluates the factors at u = rho for the
+first term, so a point makes exactly one Marcum kernel call per quadrature
+round.  g_i reuses the scaled I0 that the kernel takes, as its argument is
+that of the Marcum factor, xi = a_i u b_i.
 Three special cases collapse to closed forms:
 
 * all correlations zero  -> the i.i.d. selection-combining rate,
 * all correlations one   -> the classical single-channel Rayleigh rate,
 * two ports              -> a single incomplete-gamma series.
 
-Every product exp(-u) I0(v) is evaluated as ``bessel_i0_scaled(v) * exp(v-u)``
+Every product exp(-t) I0(v) is evaluated as ``bessel_i0_scaled(v) * exp(v-t)``
 with the exponents merged analytically; the merged exponent is a negative
 quadratic form, so nothing overflows even with correlations within 1e-9 of 1.
 """
@@ -39,15 +42,14 @@ import math
 import numpy as np
 
 from .channel_model import _check_config, _check_profile, _validate_mu, _validate_threshold
-from .errors import AccuracyError, DomainError, _is_whole_number
-from .specfun import _as_float_array, _marcum_kernel, bessel_i0_scaled, marcum_q1
+from .errors import AccuracyError
+from .specfun import _marcum_kernel, bessel_i0_scaled, marcum_q1
 
 __all__ = [
     "lcr_theorem1",
     "lcr_iid",
     "lcr_identical",
     "lcr_two_port_series",
-    "surviving_product",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -206,92 +208,57 @@ def lcr_identical(cfg, x_th):
 # Exact N-port rate
 # ---------------------------------------------------------------------------
 
-def _below_threshold_factors(cfg, profile, x1, x_th):
-    """(F, xi, I0~(xi)): the (N-1, m) matrices of F_k(x1) = 1 - Q1(a_k x1, b_k)
-    over ports k = 2..N (rows) and the m nodes of the 1-D array ``x1``
-    (columns), of xi = a_k x1 b_k and of e^-xi I0(xi), with
-    a_k = sqrt(2 mu_k^2/s_k), b_k = sqrt(2/s_k) x_th and s_k = sigma^2 (1 - mu_k^2).
-    The complement is computed directly where it is the small side, so
-    factors near 0 in deep fades keep their relative accuracy.
-    """
-    mu = np.abs(np.asarray(profile.mu[1:], dtype=float))[:, None]
-    s = cfg.sigma2 * (1.0 - mu * mu)
-    a, b = np.broadcast_arrays(np.sqrt(2.0 * mu * mu / s) * x1, np.sqrt(2.0 / s) * x_th)
-    xi = a * b
-    i0 = bessel_i0_scaled(xi)
-    return _marcum_kernel(a, b, i0, True), xi, i0
-
-
-def surviving_product(cfg, profile, x1, x_th, skip_index):
-    """prod_{k>=2, k != skip_index} [1 - Q1(sqrt(2 mu_k^2/s_k) x1, sqrt(2/s_k) x_th)]
-    with s_k = sigma^2 (1 - mu_k^2).
-
-    Each factor is the probability that the bivariate pair (reference = x1,
-    port k) stays below the threshold.  ``x1`` may be a vector; the result is
-    clipped into [0, 1].
-    """
-    x_th = _validate_threshold(x_th)
-    _check_profile(cfg, profile)
-    if not (_is_whole_number(skip_index) and 1 <= skip_index <= cfg.n_ports):
-        raise DomainError(f"skip_index must be an integer in 1..{cfg.n_ports}, got {skip_index!r}")
-    x1_arr, scalar = _as_float_array(x1, "x1")
-    x1_arr = np.atleast_1d(x1_arr)
-    if np.any(x1_arr < 0.0) or np.any(x1_arr > x_th):
-        raise DomainError("x1 must satisfy 0 <= x1 <= x_th")
-    factors = _below_threshold_factors(cfg, profile, x1_arr, x_th)[0]
-    kept = np.arange(2, cfg.n_ports + 1) != skip_index
-    result = np.clip(np.prod(factors[kept], axis=0), 0.0, 1.0)
-    return float(result[0]) if scalar else result
-
-
 def lcr_theorem1(cfg, profile, x_th):
     """Exact crossing rate of the N-port selected envelope, in crossings/second.
 
-    The first term covers the reference port being the strongest at the
-    crossing instant; the integral covers every other port i being the
-    strongest, summed over i under one integral over the reference amplitude
-    x1 in [0, x_th] and evaluated in a single adaptive pass.  The factors
-    F_k(x_th) of the first term come from the first round's Marcum kernel
-    call, as one extra node column, so each round costs one call, and the
-    summands reuse the scaled I0 that the kernel was given.  At each node the
-    N - 1 below-threshold factors are computed once, and the product leaving
-    out port i is the prefix product of the factors before i times the suffix
-    product of those after it.  It is never the full product divided by
-    factor i: factors reach exactly 0 in deep fades.  Each summand fuses the
-    Gaussian exponents with the scaled I0 so that the net exponent
-    -((x_th - |mu_i| x1)^2 + (1 - mu_i^2) x1^2)/s_i stays <= 0.
+    Evaluates the module's formula in units of sigma, with a_k and b_k formed
+    once per point.  The factors F_k(rho) of the first term come from the
+    first round's Marcum kernel call, as one extra node column, so each round
+    costs one call, and the summands reuse the scaled I0 that the kernel was
+    given.  The product leaving out port i is the prefix product of the
+    factors before i times the suffix product of those after it, never the
+    full product divided by factor i: factors reach exactly 0 in deep fades.
+    Each summand fuses the Gaussian exponents with the scaled I0 so that the
+    net exponent -((rho - |mu_i| u)^2 + s_i u^2)/s_i stays <= 0.  The rate
+    is 0.0 where rho underflows to 0 or is 40 or more.
     """
     x_th = _validate_threshold(x_th)
     _check_profile(cfg, profile)
-    if x_th >= _ZERO_RATE_SIGMAS * cfg.sigma:
+    rho = x_th / cfg.sigma
+    if not 0.0 < rho < _ZERO_RATE_SIGMAS:
         return 0.0
-    sigma2 = cfg.sigma2
     mu = np.abs(np.asarray(profile.mu[1:], dtype=float))[:, None]
-    s = sigma2 * (1.0 - mu * mu)
+    s = 1.0 - mu * mu
+    a = np.sqrt(2.0 * mu * mu / s)
+    b = np.sqrt(2.0 / s) * rho
 
     first = None
 
-    def integrand(x1):
+    def integrand(u):
         nonlocal first
+        # the first round also gives the reference-port factors F_k(rho),
+        # from one extra node column of the same Marcum call
+        nodes = u if first is not None else np.append(u, rho)
+        a_u, b_u = np.broadcast_arrays(a * nodes, b)
+        xi = a_u * b_u
+        i0 = bessel_i0_scaled(xi)
+        # 1 - Q1 comes directly where it is the small side, so factors near 0
+        # in deep fades keep their relative accuracy
+        factors = _marcum_kernel(a_u, b_u, i0, True)
         if first is None:
-            # the first round also gives the reference-port factors F_k(x_th),
-            # from one extra node column of the same Marcum call
-            factors, xi, i0 = _below_threshold_factors(cfg, profile, np.append(x1, x_th), x_th)
-            first = math.exp(-x_th * x_th / sigma2) * float(np.prod(factors[:, -1]))
+            first = math.exp(-rho * rho) * float(np.prod(factors[:, -1]))
             factors, xi, i0 = factors[:, :-1], xi[:, :-1], i0[:, :-1]
-        else:
-            factors, xi, i0 = _below_threshold_factors(cfg, profile, x1, x_th)
         # leave_out[j] = prod_{l<j} factors[l] * prod_{l>j} factors[l]
         leave_out = np.ones_like(factors)
         np.cumprod(factors[:-1], axis=0, out=leave_out[1:])
         leave_out[:-1] *= np.cumprod(factors[:0:-1], axis=0)[::-1]
-        fused = xi - (x_th * x_th + x1 * x1) / s
-        terms = i0 * np.exp(fused) * leave_out / (1.0 - mu * mu)
-        return (2.0 * x1 / sigma2) * np.sum(terms, axis=0)
+        fused = xi - (rho * rho + u * u) / s
+        terms = i0 * np.exp(fused) * leave_out / s
+        return 2.0 * u * np.sum(terms, axis=0)
 
-    prefactor = _SQRT_2PI * x_th * cfg.f_doppler / cfg.sigma
+    prefactor = _SQRT_2PI * rho * cfg.f_doppler
     try:
-        second = _integrate_adaptive(integrand, 0.0, x_th)
+        second = _integrate_adaptive(integrand, 0.0, rho)
     except AccuracyError as exc:
         raise AccuracyError(
             f"theorem1 at N = {cfg.n_ports}, x_th = {x_th!r}: {exc}",

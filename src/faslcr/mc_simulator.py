@@ -139,6 +139,9 @@ class SimParams:
             raise ConfigError(f"sample_rate must be a finite number > 0, got {self.sample_rate!r}")
         if not (_is_finite_number(self.duration) and self.duration > 0.0):
             raise ConfigError(f"duration must be a finite number > 0, got {self.duration!r}")
+        if not math.isfinite(float(self.duration) * self.sample_rate):
+            raise ConfigError(f"duration * sample_rate must be finite, got "
+                              f"{self.duration!r} * {self.sample_rate!r}")
         if not (_is_whole_number(self.n_sinusoids) and self.n_sinusoids >= 8):
             raise ConfigError(f"n_sinusoids must be an integer >= 8, got {self.n_sinusoids!r}")
         if not (_is_whole_number(self.seed) and 0 <= self.seed < 2 ** 64):

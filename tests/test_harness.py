@@ -15,7 +15,7 @@ import pytest
 import faslcr
 from faslcr import harness
 from faslcr.channel_model import FasConfig
-from faslcr.errors import ConfigError
+from faslcr.errors import ConfigError, DomainError
 from faslcr.harness import (
     METHODS,
     MethodComparison,
@@ -106,6 +106,10 @@ class TestDbConversion:
         assert db_to_linear(7000.0, 1.0) == math.inf
         assert db_to_linear(6000.0, 1e10) == math.inf
         assert db_to_linear(-7000.0, 1.0) == 0.0
+        # non-finite levels pass through to the threshold rule too
+        assert db_to_linear(math.inf, 1.0) == math.inf
+        assert db_to_linear(-math.inf, 1.0) == 0.0
+        assert math.isnan(db_to_linear(math.nan, 1.0))
 
     def test_ratio_out_of_the_normal_floats(self):
         # x / sigma underflows (1e-350) or is subnormal (1e-310), or overflows
@@ -115,6 +119,21 @@ class TestDbConversion:
         # at sigma = 1 the ratio is the threshold itself, so its level is exact
         for x in (1e-300, 1e-10, 0.05, 0.5, 1.0, 3.0, 1e300):
             assert linear_to_db(x, 1.0) == 20.0 * math.log10(x)
+
+    @pytest.mark.parametrize("convert, args, message", [
+        (linear_to_db, (0.0, 1.0), "threshold must be finite and > 0, got 0.0"),
+        (linear_to_db, (-1.0, 1.0), "threshold must be finite and > 0, got -1.0"),
+        (linear_to_db, (True, 1.0), "threshold must be finite and > 0, got True"),
+        (linear_to_db, (1.0, 0.0), "sigma must be a finite number > 0, got 0.0"),
+        (linear_to_db, (1.0, math.inf), "sigma must be a finite number > 0, got inf"),
+        (db_to_linear, (0.0, -1.0), "sigma must be a finite number > 0, got -1.0"),
+        (db_to_linear, (0.0, True), "sigma must be a finite number > 0, got True"),
+        (db_to_linear, (True, 1.0), "db must be a number, got True"),
+        (db_to_linear, ("3", 1.0), "db must be a number, got '3'"),
+    ])
+    def test_invalid_inputs(self, convert, args, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            convert(*args)
 
 
 class TestRunSweep:
@@ -262,8 +281,9 @@ class TestCsv:
         emit_csv(self.rows(), buf)
         parsed = read_csv(io.StringIO(buf.getvalue()))
         assert parsed == self.rows()
-        # blank lines are skipped
+        # blank lines are skipped, and CRLF line endings read as LF
         assert read_csv(io.StringIO(buf.getvalue().replace("\n", "\n\n"))) == self.rows()
+        assert read_csv(io.StringIO(buf.getvalue().replace("\n", "\r\n"))) == self.rows()
 
     def test_unexpected_header_refused(self):
         with pytest.raises(ConfigError, match="unexpected CSV header 'n,w,threshold'"):
@@ -421,6 +441,12 @@ class TestCli:
         assert done.returncode == 0
         assert done.stdout.startswith(harness.CSV_HEADER + "\n")
         assert done.stderr == ""
+        # a bad flag value leaves through cli_entry with the config-error code
+        done = subprocess.run([sys.executable, "-m", "faslcr", "analytic", "--n", "2.5",
+                               "--w", "0.3", "--thresholds", "1"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert "cannot parse grid '2.5'" in done.stderr
 
     def test_config_error_exit_code(self, capsys):
         assert main(["sweep", "--n", "2", "--w", "0.1", "--methods", "bogus",
@@ -496,6 +522,8 @@ class TestCli:
         (["--seed", "abc"], "bad value for --seed: 'abc'"),   # checked though iid never simulates
         (["--thresholds", "0.5:1"], "grid spec must be lo:hi:count, got '0.5:1'"),
         (["--thresholds", "0.5:1:0"], "grid count must be >= 1, got 0"),
+        (["--methods", "monte_carlo", "--duration-cycles", "1e308"],
+         "duration * sample_rate must be finite, got 1e+308 * 64.0"),
     ])
     def test_malformed_value_exits_2(self, flags, message, capsys):
         argv = ["sweep", "--n", "2", "--w", "0.3", "--thresholds", "1.0", "--methods", "iid"]

@@ -22,11 +22,10 @@ from faslcr.lcr_analytic import (
     lcr_iid,
     lcr_theorem1,
     lcr_two_port_series,
-    surviving_product,
 )
+from faslcr.specfun import marcum_q1
 
 from oracles import (
-    marcum_q1_quad,
     n_port_lcr_bruteforce,
     pair_density,
     rayleigh_lcr,
@@ -46,11 +45,22 @@ def uncorrelated(n):
     return CorrelationProfile(mu=(0.0,) * n)
 
 
+def below_threshold_factor(sigma2, mu, x1, x_th):
+    """F_k(x1) = 1 - Q1(sqrt(2 mu^2/s) x1, sqrt(2/s) x_th), s = sigma^2 (1 - mu^2),
+    from the public ``marcum_q1``; ``mu`` may be an array of correlations."""
+    s = sigma2 * (1.0 - np.square(mu))
+    return marcum_q1(np.sqrt(2.0 * np.square(mu) / s) * x1, np.sqrt(2.0 / s) * x_th, True)
+
+
 def theorem1_per_term_quad(cfg, prof, x_th):
-    """``theorem1_per_term`` with surviving_product as the factor product."""
+    """``theorem1_per_term`` with products of public ``marcum_q1`` complements
+    as the factor products."""
+    mu = np.asarray(prof.mu[1:], dtype=float)
+    ports = np.arange(2, cfg.n_ports + 1)
     return theorem1_per_term(
         cfg.sigma2, prof.mu, x_th,
-        lambda x1, i: surviving_product(cfg, prof, x1, x_th, skip_index=i), cfg.f_doppler,
+        lambda x1, i: float(np.prod(below_threshold_factor(cfg.sigma2, mu, x1, x_th)[ports != i])),
+        cfg.f_doppler,
     )
 
 
@@ -140,6 +150,8 @@ def test_rates_vanish_from_forty_sigma(rate, sigmas, f_doppler):
     # arguments would overflow
     cfg = FasConfig(4, 0.3, sigma2=2.0, f_doppler=f_doppler)
     assert rate(cfg, sigmas * cfg.sigma) == 0.0
+    # at the other end x_th/sigma underflows to 0
+    assert rate(FasConfig(4, 0.3, sigma2=1e100), 1e-300) == 0.0
 
 
 class TestTwoPortSeries:
@@ -245,17 +257,15 @@ class TestTwoPortSeries:
         assert lcr_two_port_series(cfg, np.int64(0), 1.0) == lcr_two_port_series(cfg, 0, 1.0)
 
 
-class TestSurvivingProduct:
-    def test_two_ports_skip_partner_is_empty_product(self):
-        cfg = FasConfig(2, 0.2)
-        prof = correlation_profile(cfg)
-        assert surviving_product(cfg, prof, 0.4, 1.0, skip_index=2) == 1.0
+class TestBelowThresholdFactor:
+    """F_k, the docstring's below-threshold factor: the mass of the pair
+    density of the reference (at x1) and port k on [0, x_th]."""
 
     def test_x1_zero_reduces_to_gaussian_tails(self):
         # Q1(0, b) = exp(-b^2/2) applied termwise
         cfg = FasConfig(3, 0.3, sigma2=1.2)
         prof = correlation_profile(cfg)
-        got = surviving_product(cfg, prof, 0.0, 0.9, skip_index=1)
+        got = math.prod(below_threshold_factor(1.2, mu, 0.0, 0.9) for mu in prof.mu[1:])
         want = 1.0
         for mu in prof.mu[1:]:
             b2 = 2.0 / (1.2 * (1.0 - mu * mu)) * 0.81
@@ -274,49 +284,8 @@ class TestSurvivingProduct:
                 epsabs=1e-12, epsrel=1e-11,
             )
             want *= val
-        got = surviving_product(cfg, prof, x1, x_th, skip_index=1)
+        got = math.prod(below_threshold_factor(1.0, mu, x1, x_th) for mu in prof.mu[1:])
         assert got == pytest.approx(want, rel=1e-6)
-
-    def test_marcum_factor_identity(self):
-        # a single factor equals 1 - Q1 at the right arguments
-        cfg = FasConfig(2, 0.2, sigma2=1.0)
-        prof = correlation_profile(cfg)
-        mu = prof.mu[1]
-        s = 1.0 - mu * mu
-        x1, x_th = 0.6, 1.3
-        got = surviving_product(cfg, prof, x1, x_th, skip_index=1)
-        want = 1.0 - marcum_q1_quad(math.sqrt(2.0 * mu * mu / s) * x1, math.sqrt(2.0 / s) * x_th)
-        assert got == pytest.approx(want, rel=1e-10)
-
-    def test_vectorized_over_x1(self):
-        cfg = FasConfig(4, 0.3)
-        prof = correlation_profile(cfg)
-        xs = np.linspace(0.0, 1.0, 7)
-        vec = surviving_product(cfg, prof, xs, 1.0, skip_index=3)
-        for x, v in zip(xs, vec):
-            assert v == pytest.approx(
-                surviving_product(cfg, prof, float(x), 1.0, skip_index=3), rel=1e-12
-            )
-        assert np.all((vec >= 0.0) & (vec <= 1.0))
-
-    def test_errors(self):
-        cfg = FasConfig(3, 0.2)
-        prof = correlation_profile(cfg)
-        with pytest.raises(DomainError):
-            surviving_product(cfg, prof, 1.5, 1.0, skip_index=1)   # x1 > x_th
-        with pytest.raises(DomainError):
-            surviving_product(cfg, prof, 0.5, 1.0, skip_index=4)   # bad index
-        with pytest.raises(DomainError):
-            surviving_product(cfg, prof, 0.5, 1.0, skip_index=True)
-        with pytest.raises(DomainError):
-            surviving_product(cfg, prof, 0.5, 1.0, skip_index=1.5)
-        with pytest.raises(ConfigError):
-            surviving_product("not a config", prof, 0.5, 1.0, skip_index=1)
-        assert surviving_product(cfg, prof, 0.5, 1.0, skip_index=np.int64(2)) == (
-            surviving_product(cfg, prof, 0.5, 1.0, skip_index=2))
-        for x1 in ("0.5", True, [True, False], np.array([0.5], dtype=object), [0.5, False]):
-            with pytest.raises(DomainError):
-                surviving_product(cfg, prof, x1, 1.0, 1)
 
 
 class TestTheorem1:
@@ -416,6 +385,20 @@ class TestTheorem1:
         for x_th in (0.05, 0.4, 1.2, 2.534, 3.0):
             want = theorem1_graded_quad(1.0, prof.mu, x_th)
             assert lcr_theorem1(cfg, prof, x_th) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("k", [-520, -8, 1, 8, 510])
+    def test_depends_on_the_threshold_through_x_over_sigma(self, k):
+        # at sigma = 2^k every quantity scales exactly, so the rate equals
+        # its sigma = 1 value bit for bit, from sigma^2 = 2^-1040 to 2^1020
+        sigma = 2.0 ** k
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n, w in ((2, 0.3), (4, 0.3), (8, 0.1)):
+                unit = FasConfig(n, w)
+                prof = correlation_profile(unit)
+                scaled = FasConfig(n, w, sigma2=sigma * sigma)
+                for rho in (0.5, 1.0, 2.0, 3.0, 4.0):
+                    assert lcr_theorem1(scaled, prof, rho * sigma) == lcr_theorem1(unit, prof, rho)
 
     def test_doppler_linearity(self):
         cfg1 = FasConfig(3, 0.2, sigma2=1.0, f_doppler=1.0)

@@ -87,6 +87,7 @@ class TestSimParams:
         {"sample_rate": "64", "duration": 10.0},
         {"sample_rate": 64.0, "duration": "10"},
         {"sample_rate": True, "duration": 10.0},
+        {"sample_rate": 64.0, "duration": 1e308},     # the sample count overflows
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
