@@ -161,18 +161,17 @@ def correlation_profile(cfg):
     return CorrelationProfile(mu=(0.0, *(float(m) for m in np.atleast_1d(mus))))
 
 
-def _pair_density_factor(sigma2, mu, x_ref, x):
-    """One bivariate factor of the joint density, overflow-safe.
+def _pair_density_factor(sigma, mu, r_ref, r):
+    """One bivariate factor of the joint density, in units of sigma, overflow-safe.
 
-    Evaluates (2 x / c) exp(-(x^2 + mu^2 x_ref^2)/c) I0(2 |mu| x_ref x / c)
-    with c = sigma2 (1 - mu^2), fusing the exponents so the scaled I0 never
-    sees a positive net exponent: u - v = (x - |mu| x_ref)^2 / c >= 0.
+    Evaluates (2 r / s) exp(-(r^2 + mu^2 r_ref^2)/s) I0(2 |mu| r_ref r / s) / sigma
+    with s = 1 - mu^2 and r = x/sigma, fusing the exponents so the scaled I0
+    never sees a positive net exponent: u - v = (r - |mu| r_ref)^2 / s >= 0.
     """
-    am = abs(mu)
-    c = sigma2 * (1.0 - mu * mu)
-    v = 2.0 * am * x_ref * x / c
-    u = (x * x + mu * mu * x_ref * x_ref) / c
-    return (2.0 * x / c) * bessel_i0_scaled(v) * np.exp(v - u)
+    s = 1.0 - mu * mu
+    v = 2.0 * abs(mu) * r_ref * r / s
+    u = (r * r + mu * mu * r_ref * r_ref) / s
+    return (2.0 * r / s) * bessel_i0_scaled(v) * np.exp(v - u) / sigma
 
 
 def joint_pdf(cfg, profile, point):
@@ -188,9 +187,9 @@ def joint_pdf(cfg, profile, point):
         raise DomainError(f"point must be a length-{cfg.n_ports} vector, got shape {x.shape}")
     if np.any(x < 0.0):
         raise DomainError("envelope amplitudes must be finite and >= 0")
-    sigma2 = cfg.sigma2
-    density = _pair_density_factor(sigma2, 0.0, x[0], x[0])
+    sigma, r = cfg.sigma, x / cfg.sigma
+    density = _pair_density_factor(sigma, 0.0, r[0], r[0])
     for k in range(1, cfg.n_ports):
-        density = density * _pair_density_factor(sigma2, profile.mu[k], x[0], x[k])
+        density = density * _pair_density_factor(sigma, profile.mu[k], r[0], r[k])
     return float(density)
 

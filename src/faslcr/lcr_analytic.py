@@ -1,8 +1,8 @@
 """Exact N-port level crossing rate and its closed-form specializations.
 
-The rate depends on the threshold only through rho = x_th/sigma, so the
-integral runs in units of sigma: over u = x1/sigma, the reference amplitude
-in units of sigma.  With s_k = 1 - mu_k^2, let
+Every rate here depends on the threshold only through rho = x_th/sigma, so
+each runs in units of sigma; the exact rate integrates over u = x1/sigma,
+the reference amplitude in units of sigma.  With s_k = 1 - mu_k^2, let
 
     F_k(u) = 1 - Q1(a_k u, b_k),   a_k = sqrt(2 mu_k^2/s_k),  b_k = sqrt(2/s_k) rho,
 
@@ -55,13 +55,24 @@ __all__ = [
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Thresholds from this many sigma up have a crossing rate of exactly 0.0.
-# Every rate here is at most sqrt(2 pi) (x/sigma) f_D e^(-x^2/sigma^2)
-# (1 + sum_i x^2/(sigma^2 (1 - mu_i^2))), with 1 - mu_i^2 > 2e-9 below the
-# identical-channel cutoff, and from 40 sigma on that bound is below the
-# smallest subnormal for any f_D; the formulas themselves would overflow
-# there (x f_D/sigma, or the Marcum arguments).  At 27 sigma rates are still
-# subnormal.
+# Every rate here is at most sqrt(2 pi) rho f_D e^(-rho^2) (1 + sum_i
+# rho^2/(1 - mu_i^2)), with 1 - mu_i^2 > 2e-9 below the identical-channel
+# cutoff, and from rho = 40 on that bound is below the smallest subnormal for
+# any f_D; the formulas would overflow there (rho f_D, or the Marcum
+# arguments ~ rho/sqrt(1 - mu^2)).  At rho = 27 rates are still subnormal.
 _ZERO_RATE_SIGMAS = 40.0
+
+
+def _rho(cfg, x_th):
+    """(rho, rho^2) at a checked config and validated threshold, rho = x_th/sigma;
+    (None, None) where every rate is exactly 0.0: rho underflows to 0 or is 40
+    or more.  rho^2 is (x_th/sigma^2) x_th: half the rounding of rho rho, no overflow."""
+    _check_config(cfg)
+    x_th = _validate_threshold(x_th)
+    rho = x_th / cfg.sigma
+    if not 0.0 < rho < _ZERO_RATE_SIGMAS:
+        return None, None
+    return rho, x_th / cfg.sigma2 * x_th
 
 
 # The adaptive-quadrature budget of the inner integral, in QUADPACK's
@@ -180,28 +191,21 @@ def _integrate_adaptive(f, lo, hi):
 def lcr_iid(cfg, x_th):
     """Crossing rate with all correlations zero (i.i.d. selection combining).
 
-    N sqrt(2 pi) f_D (x_th/sigma) exp(-x_th^2/sigma^2) (1 - exp(-x_th^2/sigma^2))^(N-1)
+    N sqrt(2 pi) f_D rho exp(-rho^2) (1 - exp(-rho^2))^(N-1),  rho = x_th/sigma
     """
-    _check_config(cfg)
-    x_th = _validate_threshold(x_th)
-    if x_th >= _ZERO_RATE_SIGMAS * cfg.sigma:
+    rho, rho2 = _rho(cfg, x_th)
+    if rho is None:
         return 0.0
-    rho2 = x_th * x_th / cfg.sigma2
-    cdf = -math.expm1(-rho2)
-    return (
-        cfg.n_ports * _SQRT_2PI * cfg.f_doppler * (x_th / cfg.sigma)
-        * math.exp(-rho2) * cdf ** (cfg.n_ports - 1)
-    )
+    return (cfg.n_ports * _SQRT_2PI * cfg.f_doppler * rho
+            * math.exp(-rho2) * (-math.expm1(-rho2)) ** (cfg.n_ports - 1))
 
 
 def lcr_identical(cfg, x_th):
     """Crossing rate with fully correlated ports; independent of the port count."""
-    _check_config(cfg)
-    x_th = _validate_threshold(x_th)
-    if x_th >= _ZERO_RATE_SIGMAS * cfg.sigma:
+    rho, rho2 = _rho(cfg, x_th)
+    if rho is None:
         return 0.0
-    rho2 = x_th * x_th / cfg.sigma2
-    return _SQRT_2PI / cfg.sigma * cfg.f_doppler * x_th * math.exp(-rho2)
+    return _SQRT_2PI * cfg.f_doppler * rho * math.exp(-rho2)
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +226,9 @@ def lcr_theorem1(cfg, profile, x_th):
     net exponent -((rho - |mu_i| u)^2 + s_i u^2)/s_i stays <= 0.  The rate
     is 0.0 where rho underflows to 0 or is 40 or more.
     """
-    x_th = _validate_threshold(x_th)
+    rho, _ = _rho(cfg, x_th)
     _check_profile(cfg, profile)
-    rho = x_th / cfg.sigma
-    if not 0.0 < rho < _ZERO_RATE_SIGMAS:
+    if rho is None:
         return 0.0
     mu = np.abs(np.asarray(profile.mu[1:], dtype=float))[:, None]
     s = 1.0 - mu * mu
@@ -261,7 +264,7 @@ def lcr_theorem1(cfg, profile, x_th):
         second = _integrate_adaptive(integrand, 0.0, rho)
     except AccuracyError as exc:
         raise AccuracyError(
-            f"theorem1 at N = {cfg.n_ports}, x_th = {x_th!r}: {exc}",
+            f"theorem1 at N = {cfg.n_ports}, x_th = {float(x_th)!r}: {exc}",
             partial=prefactor * (first + exc.partial),
         ) from exc
     return prefactor * (first + second)
@@ -274,13 +277,13 @@ def lcr_theorem1(cfg, profile, x_th):
 def lcr_two_port_series(cfg, mu, x_th):
     """Two-port crossing rate as an incomplete-gamma series in the correlation.
 
-    With s = sigma^2 (1 - mu^2) and y = x_th^2 / s, the series
+    With rho = x_th/sigma and y = rho^2 / (1 - mu^2), the series
 
-        prefactor * sum_k (mu x_th)^{2k} / ((k!)^2 s^{k-1}) gamma(k+1, y)
+        prefactor * sum_k mu^{2k} y^k / (k!)^2 gamma(k+1, y)
 
     is summed in its regularized form: each term equals the Poisson(mu^2 y)
     weight at k times the survivor mass Pr[Poisson(y) > k], with the common
-    factor 2 sqrt(2 pi) f_D (x_th/sigma) exp(-x_th^2/sigma^2) pulled out.
+    factor 2 sqrt(2 pi) f_D rho exp(-rho^2) pulled out.
     The sum is 1 - Q1(mu sqrt(2 y), sqrt(2 y)), the survivor form of the
     Poisson mixture, and is one ``marcum_q1`` call with ``complement``.
     Where xi = 2 mu y is large, as for correlations within 1e-6 of 1 (where
@@ -290,13 +293,11 @@ def lcr_two_port_series(cfg, mu, x_th):
     fades (x_th down to 1e-10 sigma).  The rate depends on |mu| only: mu may
     be any number in [-1, 1] with |mu| below the identical-channel cutoff.
     """
-    _check_config(cfg)
-    x_th = _validate_threshold(x_th)
+    rho, rho2 = _rho(cfg, x_th)
     mu = _validate_mu(mu)
-    if x_th >= _ZERO_RATE_SIGMAS * cfg.sigma:
+    if rho is None:
         return 0.0
-    rho2 = x_th * x_th / cfg.sigma2
-    prefactor = 2.0 * _SQRT_2PI * cfg.f_doppler * (x_th / cfg.sigma) * math.exp(-rho2)
+    prefactor = 2.0 * _SQRT_2PI * cfg.f_doppler * rho * math.exp(-rho2)
     y = rho2 / (1.0 - mu * mu)
     # complement goes positionally: tracing wrappers take (a, b, *rest)
     return prefactor * marcum_q1(mu * math.sqrt(2.0 * y), math.sqrt(2.0 * y), True)

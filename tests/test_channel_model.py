@@ -1,6 +1,8 @@
 """Configuration, correlation profile, and envelope-density contracts."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +149,32 @@ class TestJointPdf:
         prof = CorrelationProfile(mu=(0.0, 1.0 - 1e-8))
         got = joint_pdf(cfg, prof, [1.0, 1.0])
         assert math.isfinite(got) and got >= 0.0
+
+    @pytest.mark.parametrize("k", [-520, -8, 1, 8, 510])
+    def test_scales_with_sigma(self, k):
+        # at sigma = 2^k every quantity scales exactly, so the density at
+        # x sigma is its sigma = 1 value divided by sigma once per port, bit
+        # for bit; at |k| > 500 only one-port densities stay normal floats
+        sigma = 2.0 ** k
+        points = [[0.5], [1.0], [8.0]]
+        if abs(k) < 500:
+            points += [[1.0, 1.0], [0.3, 2.2], [2.0, 8.0, 1.0], [0.1, 3.0, 2.5]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for point in points:
+                unit = FasConfig(len(point), 0.3)
+                prof = correlation_profile(unit)
+                want = joint_pdf(unit, prof, point)
+                for _ in point:
+                    want /= sigma
+                assert sys.float_info.min <= want < math.inf
+                scaled = FasConfig(len(point), 0.3, sigma2=sigma * sigma)
+                assert joint_pdf(scaled, prof, [x * sigma for x in point]) == want
+            if k == 510:
+                # a valid point whose density underflows is 0.0, not an error
+                cfg = FasConfig(3, 0.3, sigma2=sigma * sigma)
+                point = [2.0 * sigma, 8.0 * sigma, sigma]
+                assert joint_pdf(cfg, correlation_profile(cfg), point) == 0.0
 
     def test_singularity_error(self):
         cfg = FasConfig(2, 0.0)

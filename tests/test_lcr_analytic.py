@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,6 +40,9 @@ from scipy import integrate
 
 # The paper's threshold grid.
 PAPER_GRID = tuple(float(x) for x in np.linspace(0.05, 3.0, 20))
+
+# sigma = 2^k for the sigma-scale tests, from sigma^2 = 2^-1040 to 2^1020.
+SIGMA_SCALE_KS = (-520, -8, 1, 8, 510)
 
 
 def uncorrelated(n):
@@ -386,10 +390,19 @@ class TestTheorem1:
             want = theorem1_graded_quad(1.0, prof.mu, x_th)
             assert lcr_theorem1(cfg, prof, x_th) == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("k", [-520, -8, 1, 8, 510])
-    def test_depends_on_the_threshold_through_x_over_sigma(self, k):
+    @pytest.mark.parametrize("rate, k", [
+        *(pytest.param(lcr_theorem1, k, id=str(k)) for k in SIGMA_SCALE_KS),
+        *(pytest.param(rate, k, id=f"{name}-{k}") for k in SIGMA_SCALE_KS for name, rate in (
+            ("iid", lambda cfg, prof, x: lcr_iid(cfg, x)),
+            ("identical", lambda cfg, prof, x: lcr_identical(cfg, x)),
+            ("two_port_series",
+             lambda cfg, prof, x: lcr_two_port_series(replace(cfg, n_ports=2), 0.5, x)),
+        )),
+    ])
+    def test_depends_on_the_threshold_through_x_over_sigma(self, rate, k):
         # at sigma = 2^k every quantity scales exactly, so the rate equals
-        # its sigma = 1 value bit for bit, from sigma^2 = 2^-1040 to 2^1020
+        # its sigma = 1 value bit for bit, from sigma^2 = 2^-1040 to 2^1020;
+        # the closed forms take the same points
         sigma = 2.0 ** k
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -398,7 +411,7 @@ class TestTheorem1:
                 prof = correlation_profile(unit)
                 scaled = FasConfig(n, w, sigma2=sigma * sigma)
                 for rho in (0.5, 1.0, 2.0, 3.0, 4.0):
-                    assert lcr_theorem1(scaled, prof, rho * sigma) == lcr_theorem1(unit, prof, rho)
+                    assert rate(scaled, prof, rho * sigma) == rate(unit, prof, rho)
 
     def test_doppler_linearity(self):
         cfg1 = FasConfig(3, 0.2, sigma2=1.0, f_doppler=1.0)
@@ -441,7 +454,10 @@ class TestTheorem1:
             lcr_theorem1(cfg, prof, 1.0)
         assert exc.value.partial is not None
 
-    @pytest.mark.parametrize("n,w,x_th", [(4, 0.1, 1.0), (8, 0.3, 2.0), (6, 0.1, 2.5)])
+    @pytest.mark.parametrize("n,w,x_th", [
+        (4, 0.1, 1.0), (8, 0.3, 2.0), (6, 0.1, 2.5),
+        pytest.param(4, 0.1, np.float64(1.0), id="4-0.1-float64"),
+    ])
     def test_quadrature_cap_partial_is_a_rate(self, monkeypatch, n, w, x_th):
         cfg = FasConfig(n, w)
         prof = correlation_profile(cfg)
@@ -450,7 +466,9 @@ class TestTheorem1:
         with pytest.raises(AccuracyError) as exc:
             lcr_theorem1(cfg, prof, x_th)
         assert exc.value.partial == pytest.approx(want, rel=1e-6)
-        assert f"N = {n}, x_th = {x_th!r}" in str(exc.value)
+        # the message names the validated float threshold, never np.float64(...)
+        assert f"N = {n}, x_th = {float(x_th)!r}" in str(exc.value)
+        assert "np.float64" not in str(exc.value)
 
     @pytest.mark.parametrize("n,w,x_th", [
         (1, 0.0, 1.0), (2, 0.3, 0.05), (4, 0.3, 1.2), (8, 0.1, 1.758), (12, 0.3, 3.0),
