@@ -161,25 +161,28 @@ def correlation_profile(cfg):
     return CorrelationProfile(mu=(0.0, *(float(m) for m in np.atleast_1d(mus))))
 
 
-def _pair_density_factor(sigma, mu, r_ref, r):
-    """One bivariate factor of the joint density, in units of sigma, overflow-safe.
+def _conditional_density(mu, given, r, i0):
+    """Density of one port's amplitude r given another's, ``given``, in units
+    of sigma, for a Rayleigh pair of correlation magnitude mu >= 0.
 
-    Evaluates (2 r / s) exp(-(r^2 + mu^2 r_ref^2)/s) I0(2 |mu| r_ref r / s) / sigma
-    with s = 1 - mu^2 and r = x/sigma, fusing the exponents so the scaled I0
-    never sees a positive net exponent: u - v = (r - |mu| r_ref)^2 / s >= 0.
+    Evaluates (2 r / s) exp(-(r^2 + mu^2 given^2)/s) I0(2 mu given r / s) with
+    s = 1 - mu^2, as (2 r / s) i0 exp(-(r - mu given)^2 / s), where the caller
+    passes i0 = bessel_i0_scaled(2 mu given r / s).  The exponent is formed
+    from the difference, so it is <= 0 and carries no cancellation between
+    terms of order given^2 / s, however close mu is to 1.
     """
     s = 1.0 - mu * mu
-    v = 2.0 * abs(mu) * r_ref * r / s
-    u = (r * r + mu * mu * r_ref * r_ref) / s
-    return (2.0 * r / s) * bessel_i0_scaled(v) * np.exp(v - u) / sigma
+    return (2.0 * r / s) * i0 * np.exp(-np.square(r - mu * given) / s)
 
 
 def joint_pdf(cfg, profile, point):
     """Joint density of the N port envelopes at ``point`` (length-N vector).
 
-    The density is a product of N bivariate factors, each tying port k to the
-    reference port; it is not a general N-variate Rayleigh law.  At N = 2 it
-    is the pair's bivariate Rayleigh density, symmetric in (x1, x2).
+    The density is a product of N factors, each the conditional density of
+    port k given the reference port (the reference port's own factor, at
+    mu_1 = 0, is its Rayleigh density); it is not a general N-variate Rayleigh
+    law.  At N = 2 it is the pair's bivariate Rayleigh density, symmetric in
+    (x1, x2).
     """
     _check_profile(cfg, profile)
     x = _as_float_array(point, "envelope amplitudes")[0]
@@ -188,8 +191,6 @@ def joint_pdf(cfg, profile, point):
     if np.any(x < 0.0):
         raise DomainError("envelope amplitudes must be finite and >= 0")
     sigma, r = cfg.sigma, x / cfg.sigma
-    density = _pair_density_factor(sigma, 0.0, r[0], r[0])
-    for k in range(1, cfg.n_ports):
-        density = density * _pair_density_factor(sigma, profile.mu[k], r[0], r[k])
-    return float(density)
-
+    mu = np.abs(np.asarray(profile.mu, dtype=float))
+    i0 = bessel_i0_scaled(2.0 * mu * r[0] * r / (1.0 - mu * mu))
+    return float(np.prod(_conditional_density(mu, r[0], r, i0) / sigma))

@@ -13,35 +13,36 @@ leaves port i out.  The downward crossing rate of the selected envelope at
 
     L(x_th) = sqrt(2 pi) rho f_D
               * { exp(-rho^2) prod_k F_k(rho)
-                  + int_0^rho sum_{i=2}^N g_i(u) P_{-i}(u) / s_i du }
+                  + int_0^rho sum_{i=2}^N exp(-rho^2) p_i(u | rho) P_{-i}(u) du }
 
-with g_i(u) = 2 u exp(-(rho^2 + u^2)/s_i) I0(2 |mu_i| rho u/s_i).
-The first term covers the reference port carrying the maximum, and summand
-i covers port i doing so.  The N - 1 factors are computed once per
-quadrature node, every P_{-i} comes from prefix and suffix products of them,
-and the summed integrand is integrated in one adaptive pass, so the Marcum
-work per node grows like N rather than N^2.  Summand i has a boundary layer
-at u = rho, of width ~sqrt(s_i), so the pass starts from five panels graded
-toward rho.  Its first round also evaluates the factors at u = rho for the
-first term, so a point makes exactly one Marcum kernel call per quadrature
-round.  g_i reuses the scaled I0 that the kernel takes, as its argument is
-that of the Marcum factor, xi = a_i u b_i.
-Three special cases collapse to closed forms:
+with p_i(u | rho) = (2 u/s_i) exp(-(u^2 + mu_i^2 rho^2)/s_i) I0(2 |mu_i| rho u/s_i),
+the density of the reference amplitude given port i at rho.  The first term
+covers the reference port carrying the maximum, and summand i covers port i
+doing so.  The N - 1 factors are computed once per quadrature node, every
+P_{-i} comes from prefix and suffix products of them, and the summed
+integrand is integrated in one adaptive pass, so the Marcum work per node
+grows like N rather than N^2.  Summand i has a boundary layer at u = rho, of
+width ~sqrt(s_i), so the pass starts from five panels graded toward rho.
+Its first round also evaluates the factors at u = rho for the first term, so
+a point makes exactly one Marcum kernel call per quadrature round.  p_i
+reuses the scaled I0 that the kernel takes, as its argument is that of the
+Marcum factor, xi = a_i u b_i.  Three special cases collapse to closed forms:
 
 * all correlations zero  -> the i.i.d. selection-combining rate,
 * all correlations one   -> the classical single-channel Rayleigh rate,
 * two ports              -> a single incomplete-gamma series.
 
-Every product exp(-t) I0(v) is evaluated as ``bessel_i0_scaled(v) * exp(v-t)``
-with the exponents merged analytically; the merged exponent is a negative
-quadratic form, so nothing overflows even with correlations within 1e-9 of 1.
+p_i is ``channel_model._conditional_density``, which also builds ``joint_pdf``:
+(2 u/s_i) bessel_i0_scaled(xi) exp(-(u - |mu_i| rho)^2/s_i).  Formed from the
+difference, the exponent is <= 0 and cancels nothing, even for |mu_i| near 1.
 """
 
 import math
 
 import numpy as np
 
-from .channel_model import _check_config, _check_profile, _validate_mu, _validate_threshold
+from .channel_model import (_check_config, _check_profile, _conditional_density, _validate_mu,
+                            _validate_threshold)
 from .errors import AccuracyError
 from .specfun import _marcum_kernel, bessel_i0_scaled, marcum_q1
 
@@ -222,9 +223,9 @@ def lcr_theorem1(cfg, profile, x_th):
     given.  The product leaving out port i is the prefix product of the
     factors before i times the suffix product of those after it, never the
     full product divided by factor i: factors reach exactly 0 in deep fades.
-    Each summand fuses the Gaussian exponents with the scaled I0 so that the
-    net exponent -((rho - |mu_i| u)^2 + s_i u^2)/s_i stays <= 0.  The rate
-    is 0.0 where rho underflows to 0 or is 40 or more.
+    Summand i is exp(-rho^2) times the conditional density p_i(u | rho),
+    whose exponent -(u - |mu_i| rho)^2/s_i is <= 0 and free of cancellation.
+    The rate is 0.0 where rho underflows to 0 or is 40 or more.
     """
     rho, _ = _rho(cfg, x_th)
     _check_profile(cfg, profile)
@@ -243,21 +244,19 @@ def lcr_theorem1(cfg, profile, x_th):
         # from one extra node column of the same Marcum call
         nodes = u if first is not None else np.append(u, rho)
         a_u, b_u = np.broadcast_arrays(a * nodes, b)
-        xi = a_u * b_u
-        i0 = bessel_i0_scaled(xi)
+        i0 = bessel_i0_scaled(a_u * b_u)
         # 1 - Q1 comes directly where it is the small side, so factors near 0
         # in deep fades keep their relative accuracy
         factors = _marcum_kernel(a_u, b_u, i0, True)
         if first is None:
             first = math.exp(-rho * rho) * float(np.prod(factors[:, -1]))
-            factors, xi, i0 = factors[:, :-1], xi[:, :-1], i0[:, :-1]
+            factors, i0 = factors[:, :-1], i0[:, :-1]
         # leave_out[j] = prod_{l<j} factors[l] * prod_{l>j} factors[l]
         leave_out = np.ones_like(factors)
         np.cumprod(factors[:-1], axis=0, out=leave_out[1:])
         leave_out[:-1] *= np.cumprod(factors[:0:-1], axis=0)[::-1]
-        fused = xi - (rho * rho + u * u) / s
-        terms = i0 * np.exp(fused) * leave_out / s
-        return 2.0 * u * np.sum(terms, axis=0)
+        densities = _conditional_density(mu, rho, u, i0)
+        return math.exp(-rho * rho) * np.sum(densities * leave_out, axis=0)
 
     prefactor = _SQRT_2PI * rho * cfg.f_doppler
     try:

@@ -144,11 +144,19 @@ class TestJointPdf:
 
     def test_extreme_correlation_is_finite(self):
         # within the admissible band just below the singularity cutoff the
-        # fused exponents must not overflow
+        # conditional density's exponent must not overflow
         cfg = FasConfig(2, 0.01, sigma2=1.0)
         prof = CorrelationProfile(mu=(0.0, 1.0 - 1e-8))
         got = joint_pdf(cfg, prof, [1.0, 1.0])
         assert math.isfinite(got) and got >= 0.0
+        # and at 1 - mu = 1e-6 it stays accurate: the exponent is formed from
+        # the difference, not as a difference of two terms of order x^2/(1 - mu^2).
+        # Reference values: mpmath at 40 digits, mu = float(1 - 1e-6) exactly,
+        # 2x exp(-x^2) (2x/s) exp(-(x^2 + mu^2 x^2)/s) I0(2 mu x^2/s), s = 1 - mu^2
+        prof = CorrelationProfile(mu=(0.0, 1.0 - 1e-6))
+        for x, want in [(1.0, 293.52543641533260), (2.0, 29.227495359651676),
+                        (2.5, 3.8506898081399916), (3.0, 0.29539922834618569)]:
+            assert joint_pdf(cfg, prof, [x, x]) == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("k", [-520, -8, 1, 8, 510])
     def test_scales_with_sigma(self, k):
@@ -200,7 +208,7 @@ class TestJointPdf:
                 joint_pdf(cfg, prof, point)
 
 
-class TestBivariatePdf:
+class TestPairDensity:
     """joint_pdf at N = 2: the bivariate Rayleigh density of a port pair."""
 
     @staticmethod

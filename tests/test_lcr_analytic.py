@@ -309,7 +309,11 @@ class TestTheorem1:
             t = lcr_theorem1(cfg, prof, float(x))
             assert t == pytest.approx(lcr_iid(cfg, float(x)), rel=1e-10)
 
-    @pytest.mark.parametrize("mu", [0.0, 0.3, 0.6, 0.9, -0.6])
+    # the last three are J0(2 pi W) at N = 2 for W = 2e-5, 3e-4 and 1e-3, near
+    # the identical-channel cutoff, where the summand's exponent would cancel
+    # terms of order rho^2/(1 - mu^2) if it were not formed from the difference
+    @pytest.mark.parametrize("mu", [0.0, 0.3, 0.6, 0.9, -0.6, 0.99999999605215828,
+                                    0.99999911173580114, 0.99999013041995122])
     def test_two_port_path_equivalence(self, mu):
         cfg = FasConfig(2, 0.1, sigma2=1.0, f_doppler=1.0)
         prof = CorrelationProfile(mu=(0.0, mu))
@@ -426,10 +430,13 @@ class TestTheorem1:
             lcr_theorem1(cfg1, prof, 1.0), rel=1e-12
         )
 
-    def test_dense_profile_near_unity_correlation(self):
-        # W = 0.1 with 4 ports puts mu_2 near 0.989; the fused exponents and
-        # the Marcum budget must cope across the threshold grid
-        cfg = FasConfig(4, 0.1, sigma2=1.0, f_doppler=1.0)
+    @pytest.mark.parametrize("n, w", [(4, 0.1), (16, 3e-4), (64, 1e-3), (8, 1e-4)])
+    def test_dense_profile_near_unity_correlation(self, n, w):
+        # W = 0.1 with 4 ports puts mu_2 near 0.989, and the other three put
+        # 1 - mu_2 at 2e-9 to 4e-9, mu_2 just below the cutoff; the conditional
+        # densities' exponents and the quadrature budget must cope across the
+        # threshold grid
+        cfg = FasConfig(n, w, sigma2=1.0, f_doppler=1.0)
         prof = correlation_profile(cfg)
         vals = [lcr_theorem1(cfg, prof, float(x)) for x in np.linspace(0.05, 3.0, 12)]
         assert all(math.isfinite(v) and v >= 0.0 for v in vals)
@@ -618,7 +625,7 @@ class TestKronrodRule:
         assert any(np.any(xi <= specfun._TEMME_XI) for xi in i0_args)
 
 
-class TestQuadratureSpec:
+class TestQuadratureBudget:
     def test_defaults(self):
         assert lcr_analytic._ABS_EPS == 1e-12
         assert lcr_analytic._REL_EPS == 1e-9
