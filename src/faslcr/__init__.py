@@ -48,8 +48,6 @@ from .mc_simulator import (
     estimate_lcr,
     fas_select,
     generate_base_processes,
-    merge_estimates,
-    slope_moment_check,
 )
 from .specfun import (
     bessel_i0_scaled,
@@ -57,4 +55,4 @@ from .specfun import (
     marcum_q1,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

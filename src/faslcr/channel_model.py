@@ -190,7 +190,12 @@ def joint_pdf(cfg, profile, point):
         raise DomainError(f"point must be a length-{cfg.n_ports} vector, got shape {x.shape}")
     if np.any(x < 0.0):
         raise DomainError("envelope amplitudes must be finite and >= 0")
-    sigma, r = cfg.sigma, x / cfg.sigma
+    sigma = cfg.sigma
+    # Above 1e145 sigma the factor exp(-r_1^2) of the reference port, or a
+    # port's exp(-(r_k - |mu_k| r_1)^2 / s), is 0.0; below it no term overflows.
+    if np.any(x > 1e145 * sigma):
+        return 0.0
+    r = x / sigma
     mu = np.abs(np.asarray(profile.mu, dtype=float))
     i0 = bessel_i0_scaled(2.0 * mu * r[0] * r / (1.0 - mu * mu))
     return float(np.prod(_conditional_density(mu, r[0], r, i0) / sigma))

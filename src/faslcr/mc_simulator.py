@@ -120,8 +120,6 @@ __all__ = [
     "fas_select",
     "count_crossings",
     "estimate_lcr",
-    "slope_moment_check",
-    "merge_estimates",
 ]
 
 
@@ -342,16 +340,18 @@ def _component_processes(cfg, sim):
 def _synthesize(bank, sim, first, stop, out=None):
     """Block rows ``first`` to ``stop`` - 1 of every process, cut to ``sim.n_samples``.
 
-    The bank's rows alternate x and y, as ``_component_processes`` stacks
-    them.  Each process's left factor is built just before its product, as
-    the complex rows exp(i A) whose float view interleaves cos A and sin A,
-    and multiplied by its right factor into its slice of the output, so only
-    one process's left factor is held at a time.  At least two rows are
-    multiplied: numpy hands a single row to BLAS's gemv, whose rounding
-    differs from gemm's, and every row must come out the same whichever
-    range it is synthesized in.  The products are written into the leading
-    elements of the flat float64 buffer ``out`` when one is given, so that
-    each process's samples stay contiguous, and into a new array otherwise.
+    They come back as two (N x n) views x and y, split from the bank's rows,
+    which alternate x and y: row 0 is the reference port's x_0 and y_0, row
+    k-1 port k's own x_k and y_k.  Each process's left factor is built just
+    before its product, as the complex rows exp(i A) whose float view
+    interleaves cos A and sin A, and multiplied by its right factor into its
+    slice of the output, so only one process's left factor is held at a
+    time.  At least two rows are multiplied: numpy hands a single row to
+    BLAS's gemv, whose rounding differs from gemm's, and every row must come
+    out the same whichever range it is synthesized in.  The products are
+    written into the leading elements of the flat float64 buffer ``out``
+    when one is given, so that each process's samples stay contiguous, and
+    into a new array otherwise.
     """
     block, _ = _block_layout(sim.n_samples)
     n_rows = max(stop - first, 2)
@@ -362,21 +362,22 @@ def _synthesize(bank, sim, first, stop, out=None):
         np.matmul(left.view(np.float64), right, out=product)
     out = out.reshape(len(bank.right), -1)
     size = min(stop * block, sim.n_samples) - first * block
-    return BaseProcesses(x=out[0::2, :size], y=out[1::2, :size], dt=sim.dt)
+    return out[0::2, :size], out[1::2, :size]
 
 
 def generate_base_processes(cfg, sim):
     """Synthesize the 2N independent component processes for ``cfg``, whole."""
     sim.validate_for(cfg)
     _, n_blocks = _block_layout(sim.n_samples)
-    return _synthesize(_component_processes(cfg, sim), sim, 0, n_blocks)
+    x, y = _synthesize(_component_processes(cfg, sim), sim, 0, n_blocks)
+    return BaseProcesses(x=x, y=y, dt=sim.dt)
 
 
 def _port_power(x, y, k, mu, out, scratch):
     """Power re^2 + im^2 of the port that reads row ``k``, written into ``out``.
 
-    ``x`` and ``y`` hold component rows as ``BaseProcesses`` does: row 0 is
-    the reference port's, and the port of row k > 0 has the components
+    ``x`` and ``y`` hold component rows as ``_synthesize`` returns them: row
+    0 is the reference port's, and the port of row k > 0 has the components
     re = sqrt(1 - mu^2) x[k] + mu x[0] and im likewise from ``y``.
     ``scratch`` is a pair of buffers of the length of ``out``.  The
     components are of order 1 (at most sqrt(M) in size), so the squares
@@ -404,8 +405,8 @@ def _select(x, y, sigma, mu, out, scratch):
     """The selected envelope of a port profile ``mu``, written into ``out``.
 
     It is sigma sqrt(max_k p_k) over the port powers p_k of ``_port_power``,
-    read from the leading len(mu) rows of the component arrays ``x`` and
-    ``y``, laid out as in ``BaseProcesses``.  fl(sqrt) and the product with
+    read from the leading len(mu) rows of the component rows ``x`` and
+    ``y`` that ``_synthesize`` returns.  fl(sqrt) and the product with
     sigma > 0 are monotone, so this equals
     ``fas_select(assemble_port_envelopes(...)).samples`` bit for bit, with
     one sqrt and one scale per sample in place of one per port.  Ports at the
@@ -551,9 +552,9 @@ def estimate_lcr(cfg, sim, thresholds):
         # and cannot start a down step into the first tile.
         carried = np.zeros(len(cfgs))
         for first, stop in zip(bounds, bounds[1:]):
-            base = _synthesize(bank, sim, first, stop, synthesis)
-            for lo in range(0, base.x.shape[1], _TILE_SAMPLES):
-                x, y = base.x[:, lo:lo + _TILE_SAMPLES], base.y[:, lo:lo + _TILE_SAMPLES]
+            chunk_x, chunk_y = _synthesize(bank, sim, first, stop, synthesis)
+            for lo in range(0, chunk_x.shape[1], _TILE_SAMPLES):
+                x, y = chunk_x[:, lo:lo + _TILE_SAMPLES], chunk_y[:, lo:lo + _TILE_SAMPLES]
                 size = x.shape[1]
                 for i, (c, profile) in enumerate(zip(cfgs, profiles)):
                     _select(x, y, c.sigma, profile.mu, selected[1:size + 1],
@@ -565,33 +566,3 @@ def estimate_lcr(cfg, sim, thresholds):
     estimates = [[_estimate(x, int(n), duration, c.f_doppler) for x, n in zip(thresholds, row)]
                  for c, row in zip(cfgs, crossings)]
     return estimates if several else estimates[0]
-
-
-def slope_moment_check(series):
-    """One-sided slope moment of a single-port envelope.
-
-    Averages the positive finite-difference slopes over all samples, which
-    estimates the half-Gaussian moment sigma_slope/sqrt(2 pi) =
-    sqrt(pi/2) sigma f_D for an isotropic-scattering Rayleigh envelope.
-    """
-    if not isinstance(series, EnvelopeSeries):
-        raise ConfigError(f"expected EnvelopeSeries, got {type(series).__name__}")
-    diffs = np.diff(series.samples) / series.dt
-    return float(diffs[diffs > 0.0].sum() / diffs.size)
-
-
-def merge_estimates(estimates, f_doppler=None):
-    """Merge estimates of the same threshold from independent runs.
-
-    Crossing counts and durations add; the merged rate is their quotient, so
-    the merge is exactly order-independent.
-    """
-    estimates = list(estimates)
-    if not estimates:
-        raise ConfigError("merge_estimates needs at least one estimate")
-    threshold = estimates[0].threshold
-    if any(e.threshold != threshold for e in estimates):
-        raise ConfigError("cannot merge estimates of different thresholds")
-    crossings = sum(e.crossings for e in estimates)
-    duration = math.fsum(e.duration for e in estimates)
-    return _estimate(threshold, crossings, duration, f_doppler)

@@ -62,10 +62,14 @@ def clarke_process_direct(rng, n_samples, dt, f_doppler, n_sinusoids):
 
 
 def pair_density(sigma2, mu, x_ref, xk):
-    """One bivariate factor of the joint envelope density (scipy I0)."""
+    """One bivariate factor of the joint envelope density (scipy I0).
+
+    The exponent v - (xk^2 + mu^2 x_ref^2)/c is formed as the single square
+    -(xk - |mu| x_ref)^2/c, so it does not cancel terms of order x^2/c.
+    """
     c = sigma2 * (1.0 - mu * mu)
     v = 2.0 * abs(mu) * x_ref * xk / c
-    return 2.0 * xk / c * special.i0e(v) * np.exp(v - (xk * xk + mu * mu * x_ref * x_ref) / c)
+    return 2.0 * xk / c * special.i0e(v) * np.exp(-(xk - abs(mu) * x_ref) ** 2 / c)
 
 
 def joint_density(sigma2, mus, xs):
@@ -74,6 +78,13 @@ def joint_density(sigma2, mus, xs):
     for mu, xk in zip(mus[1:], xs[1:]):
         out = out * pair_density(sigma2, mu, xs[0], xk)
     return out
+
+
+def slope_moment(samples, dt):
+    """Mean of max(slope, 0) over all finite differences of uniformly sampled
+    ``samples``; for a Rayleigh envelope it estimates sqrt(pi/2) sigma f_D."""
+    diffs = np.diff(samples) / dt
+    return float(diffs[diffs > 0.0].sum() / diffs.size)
 
 
 def rayleigh_lcr(sigma, fd, x_th):
@@ -216,7 +227,8 @@ def theorem1_graded_quad(sigma2, mus, x_th, fd=1.0):
         leave_out = (np.concatenate([[1.0], np.cumprod(fk[:-1])])
                      * np.concatenate([np.cumprod(fk[:0:-1])[::-1], [1.0]]))
         v = 2.0 * mu * x_th * x1 / s
-        g = special.i0e(v) * np.exp(v - (x_th * x_th + x1 * x1) / s) / (1.0 - mu * mu)
+        g = (special.i0e(v) * np.exp(-(x1 - mu * x_th) ** 2 / s - x_th * x_th / sigma2)
+             / (1.0 - mu * mu))
         return 2.0 * x1 / sigma2 * float(np.sum(g * leave_out))
 
     edges = [x_th * (1.0 - 2.0 ** -k) for k in range(13)] + [x_th]

@@ -20,6 +20,12 @@ from faslcr.errors import ConfigError, DomainError, SingularityError
 
 from oracles import j0_series, joint_density
 
+# joint_pdf at N = 2, sigma^2 = 1, mu = float(1 - 1e-6) exactly, on the
+# diagonal (x, x): mpmath at 40 digits of 2x exp(-x^2) (2x/s)
+# exp(-(x^2 + mu^2 x^2)/s) I0(2 mu x^2/s), s = 1 - mu^2
+NEAR_CUTOFF_DIAGONAL = [(1.0, 293.52543641533260), (2.0, 29.227495359651676),
+                        (2.5, 3.8506898081399916), (3.0, 0.29539922834618569)]
+
 
 class TestFasConfig:
     def test_valid(self):
@@ -150,13 +156,26 @@ class TestJointPdf:
         got = joint_pdf(cfg, prof, [1.0, 1.0])
         assert math.isfinite(got) and got >= 0.0
         # and at 1 - mu = 1e-6 it stays accurate: the exponent is formed from
-        # the difference, not as a difference of two terms of order x^2/(1 - mu^2).
-        # Reference values: mpmath at 40 digits, mu = float(1 - 1e-6) exactly,
-        # 2x exp(-x^2) (2x/s) exp(-(x^2 + mu^2 x^2)/s) I0(2 mu x^2/s), s = 1 - mu^2
+        # the difference, not as a difference of two terms of order x^2/(1 - mu^2)
         prof = CorrelationProfile(mu=(0.0, 1.0 - 1e-6))
-        for x, want in [(1.0, 293.52543641533260), (2.0, 29.227495359651676),
-                        (2.5, 3.8506898081399916), (3.0, 0.29539922834618569)]:
+        for x, want in NEAR_CUTOFF_DIAGONAL:
             assert joint_pdf(cfg, prof, [x, x]) == pytest.approx(want, rel=1e-10)
+
+    def test_oracle_is_exact_near_the_cutoff(self):
+        # the scipy oracle forms its exponent from the difference as well, so
+        # it can check joint_pdf below the 1e-10 that cancellation left it
+        for x, want in NEAR_CUTOFF_DIAGONAL:
+            got = joint_density(1.0, (0.0, 1.0 - 1e-6), [x, x])
+            assert got == pytest.approx(want, rel=1e-11)
+
+    def test_far_above_sigma_is_zero(self):
+        # the density is 0.0 in double precision above 1e145 sigma and at the
+        # cut itself, and no x / sigma or square of r may overflow on the way:
+        # warnings are errors here
+        for sigma2, point in [(0.25, [1.0, 1e308]), (1.0, [1.0, 1e200]), (0.25, [1e308]),
+                              (1.0, [1e145, 1.0]), (1.0, [1.0, 1e145])]:
+            cfg = FasConfig(len(point), 0.3, sigma2=sigma2)
+            assert joint_pdf(cfg, correlation_profile(cfg), point) == 0.0
 
     @pytest.mark.parametrize("k", [-520, -8, 1, 8, 510])
     def test_scales_with_sigma(self, k):

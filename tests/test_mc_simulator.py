@@ -20,7 +20,6 @@ from faslcr.lcr_analytic import lcr_identical
 from faslcr.mc_simulator import (
     BaseProcesses,
     EnvelopeSeries,
-    LcrEstimate,
     SimParams,
     _angle_rows,
     _block_layout,
@@ -33,11 +32,9 @@ from faslcr.mc_simulator import (
     estimate_lcr,
     fas_select,
     generate_base_processes,
-    merge_estimates,
-    slope_moment_check,
 )
 
-from oracles import clarke_process_direct
+from oracles import clarke_process_direct, slope_moment
 
 
 def _stream_rng(seed, stream):
@@ -185,7 +182,7 @@ class TestBaseProcesses:
         # below the simulator's 1600-sample floor: one-sample blocks
         sim = SimParams(sample_rate=64.0, duration=2.0 / 64.0, n_sinusoids=n_sinusoids, seed=3)
         pair = _component_processes(FasConfig(1, 0.0), sim)
-        got = _synthesize(pair, sim, 0, 2).x[0]
+        got = _synthesize(pair, sim, 0, 2)[0][0]
         want = clarke_process_direct(_stream_rng(3, 0), 2, 1.0 / 64.0, 1.0, n_sinusoids)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
@@ -210,10 +207,10 @@ class TestBaseProcesses:
         whole = generate_base_processes(cfg, sim)
         bank = _component_processes(cfg, sim)
         for first, stop in [(0, 1), (g - 1, g + 1), (n_blocks - 3, n_blocks), *chunks]:
-            part = synthesize(bank, sim, first, stop)
+            x, y = synthesize(bank, sim, first, stop)
             cut = slice(first * block, min(stop * block, sim.n_samples))
-            assert np.array_equal(part.x, whole.x[:, cut])
-            assert np.array_equal(part.y, whole.y[:, cut])
+            assert np.array_equal(x, whole.x[:, cut])
+            assert np.array_equal(y, whole.y[:, cut])
 
     def test_angle_rows_within_argument_rounding(self):
         # 1e5 cycles: block starts reach |A| = 6.3e5 rad, where forming A itself
@@ -492,8 +489,6 @@ class TestCountCrossings:
         series = EnvelopeSeries(np.array([2.0, 0.0, 2.0]), 0.5)
         with pytest.raises(ConfigError):
             count_crossings(series, 1.0, bad)
-        with pytest.raises(ConfigError):
-            merge_estimates([count_crossings(series, 1.0)], f_doppler=bad)
 
     def test_errors(self):
         with pytest.raises(ConfigError):
@@ -516,9 +511,8 @@ class TestCountCrossings:
                 BaseProcesses(x, y, 1.0)
         with pytest.raises(DomainError):
             count_crossings(EnvelopeSeries(np.array([1.0, 2.0]), 1.0), 0.0)
-        for check in (lambda s: count_crossings(s, 1.0), slope_moment_check):
-            with pytest.raises(ConfigError, match="expected EnvelopeSeries, got ndarray"):
-                check(np.array([1.0, 2.0]))
+        with pytest.raises(ConfigError, match="expected EnvelopeSeries, got ndarray"):
+            count_crossings(np.array([1.0, 2.0]), 1.0)
 
 
 class TestEstimateLcr:
@@ -720,6 +714,22 @@ class TestEstimateLcr:
                 for cycles in (1e3, 1e4)]
         assert json.loads(done.stdout) == want
 
+    def test_walk_builds_no_staged_type(self, monkeypatch):
+        # the walk holds plain rows: with BaseProcesses and EnvelopeSeries
+        # made to raise, one config and a list of configs give the same estimates
+        cfgs = [FasConfig(1, 0.0), FasConfig(3, 0.3)]
+        sim = SimParams.from_cycles(cfgs[0], duration_cycles=1e3, seed=5)
+        thresholds = [0.3, 1.0, 1.5]
+        want = [estimate_lcr(cfgs, sim, thresholds), estimate_lcr(cfgs[1], sim, thresholds)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("estimate_lcr built a staged type")
+
+        monkeypatch.setattr(mc_simulator, "BaseProcesses", refuse)
+        monkeypatch.setattr(mc_simulator, "EnvelopeSeries", refuse)
+        got = [estimate_lcr(cfgs, sim, thresholds), estimate_lcr(cfgs[1], sim, thresholds)]
+        assert got == want
+
     def test_fully_correlated_profile_matches_identical(self):
         # W = 0 collapses every port onto the reference port
         cfg = FasConfig(3, 0.0, sigma2=1.0, f_doppler=1.0)
@@ -736,7 +746,7 @@ class TestSlopeMoment:
         sim = SimParams.from_cycles(cfg, duration_cycles=1000, seed=42)
         port = assemble_port_envelopes(cfg, correlation_profile(cfg),
                                        generate_base_processes(cfg, sim))[0]
-        got = slope_moment_check(port)
+        got = slope_moment(port.samples, port.dt)
         assert got == pytest.approx(math.sqrt(math.pi / 2.0) * 10.0, rel=0.10)
 
     def test_doppler_scaling(self):
@@ -746,7 +756,7 @@ class TestSlopeMoment:
             sim = SimParams.from_cycles(cfg, duration_cycles=1000, seed=8)
             port = assemble_port_envelopes(cfg, correlation_profile(cfg),
                                            generate_base_processes(cfg, sim))[0]
-            vals[fd] = slope_moment_check(port)
+            vals[fd] = slope_moment(port.samples, port.dt)
         assert vals[10.0] == pytest.approx(2.0 * vals[5.0], rel=0.02)
 
     def test_sigma_scaling(self):
@@ -754,32 +764,7 @@ class TestSlopeMoment:
         sim = SimParams.from_cycles(cfg, duration_cycles=1000, seed=12)
         port = assemble_port_envelopes(cfg, correlation_profile(cfg),
                                        generate_base_processes(cfg, sim))[0]
-        assert slope_moment_check(port) == pytest.approx(
+        assert slope_moment(port.samples, port.dt) == pytest.approx(
             math.sqrt(math.pi / 2.0) * 2.0, rel=0.10
         )
 
-
-class TestMergeEstimates:
-    def test_order_independent(self):
-        parts = [
-            LcrEstimate(threshold=1.0, rate=0.5, nlcr=None, crossings=50, duration=100.0),
-            LcrEstimate(threshold=1.0, rate=0.25, nlcr=None, crossings=50, duration=200.0),
-            LcrEstimate(threshold=1.0, rate=1.0, nlcr=None, crossings=100, duration=100.0),
-        ]
-        merged = merge_estimates(parts, f_doppler=2.0)
-        shuffled = merge_estimates(parts[::-1], f_doppler=2.0)
-        assert merged == shuffled
-        assert merged.crossings == 200
-        assert merged.duration == 400.0
-        assert merged.rate == pytest.approx(0.5)
-        assert merged.nlcr == pytest.approx(0.25)
-
-    def test_threshold_mismatch_rejected(self):
-        parts = [
-            LcrEstimate(threshold=1.0, rate=0.5, nlcr=None, crossings=1, duration=2.0),
-            LcrEstimate(threshold=2.0, rate=0.5, nlcr=None, crossings=1, duration=2.0),
-        ]
-        with pytest.raises(ConfigError):
-            merge_estimates(parts)
-        with pytest.raises(ConfigError, match="at least one estimate"):
-            merge_estimates([])
