@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel_model import FasConfig, _check_config, _validate_threshold, correlation_profile
 from .errors import AccuracyError, ConfigError, DomainError, FasLcrError, SingularityError
-from .errors import _is_finite_number, _is_whole_number
+from .errors import _is_finite_number
 from .lcr_analytic import lcr_identical, lcr_iid, lcr_theorem1, lcr_two_port_series
 from .mc_simulator import SimParams, estimate_lcr
 
@@ -101,12 +101,10 @@ class SweepSpec:
                 _validate_threshold(x)
             except DomainError as exc:
                 raise ConfigError(f"thresholds grid: {exc}") from exc
+        # FasConfig holds the rules for the port count and the aperture
         for n in self.n_list:
-            if not (_is_whole_number(n) and n >= 1):
-                raise ConfigError(f"n_list entries must be integers >= 1, got {n!r}")
-        for w in self.w_list:
-            if not (_is_finite_number(w) and w >= 0.0):
-                raise ConfigError(f"w_list entries must be finite and >= 0, got {w!r}")
+            for w in self.w_list:
+                FasConfig(n_ports=n, aperture=w)
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,7 +2,9 @@
 
 Every rate here depends on the threshold only through rho = x_th/sigma, so
 each runs in units of sigma; the exact rate integrates over u = x1/sigma,
-the reference amplitude in units of sigma.  With s_k = 1 - mu_k^2, let
+the reference amplitude in units of sigma.  Each rate is formed at f_D = 1
+and multiplied by f_D last: it is exactly f_D times its f_D = 1 value, and
+overflows only where that product does.  With s_k = 1 - mu_k^2, let
 
     F_k(u) = 1 - Q1(a_k u, b_k),   a_k = sqrt(2 mu_k^2/s_k),  b_k = sqrt(2/s_k) rho,
 
@@ -59,8 +61,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Every rate here is at most sqrt(2 pi) rho f_D e^(-rho^2) (1 + sum_i
 # rho^2/(1 - mu_i^2)), with 1 - mu_i^2 > 2e-9 below the identical-channel
 # cutoff, and from rho = 40 on that bound is below the smallest subnormal for
-# any f_D; the formulas would overflow there (rho f_D, or the Marcum
-# arguments ~ rho/sqrt(1 - mu^2)).  At rho = 27 rates are still subnormal.
+# any f_D; the Marcum arguments ~ rho/sqrt(1 - mu^2) would overflow there.
+# At rho = 27 rates are still subnormal.
 _ZERO_RATE_SIGMAS = 40.0
 
 
@@ -197,8 +199,8 @@ def lcr_iid(cfg, x_th):
     rho, rho2 = _rho(cfg, x_th)
     if rho is None:
         return 0.0
-    return (cfg.n_ports * _SQRT_2PI * cfg.f_doppler * rho
-            * math.exp(-rho2) * (-math.expm1(-rho2)) ** (cfg.n_ports - 1))
+    return (cfg.n_ports * _SQRT_2PI * rho * math.exp(-rho2)
+            * (-math.expm1(-rho2)) ** (cfg.n_ports - 1) * cfg.f_doppler)
 
 
 def lcr_identical(cfg, x_th):
@@ -206,7 +208,7 @@ def lcr_identical(cfg, x_th):
     rho, rho2 = _rho(cfg, x_th)
     if rho is None:
         return 0.0
-    return _SQRT_2PI * cfg.f_doppler * rho * math.exp(-rho2)
+    return _SQRT_2PI * rho * math.exp(-rho2) * cfg.f_doppler
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +229,11 @@ def lcr_theorem1(cfg, profile, x_th):
     whose exponent -(u - |mu_i| rho)^2/s_i is <= 0 and free of cancellation.
     The rate is 0.0 where rho underflows to 0 or is 40 or more.
     """
-    rho, _ = _rho(cfg, x_th)
+    rho, rho2 = _rho(cfg, x_th)
     _check_profile(cfg, profile)
     if rho is None:
         return 0.0
+    decay = math.exp(-rho2)
     mu = np.abs(np.asarray(profile.mu[1:], dtype=float))[:, None]
     s = 1.0 - mu * mu
     a = np.sqrt(2.0 * mu * mu / s)
@@ -249,24 +252,23 @@ def lcr_theorem1(cfg, profile, x_th):
         # in deep fades keep their relative accuracy
         factors = _marcum_kernel(a_u, b_u, i0, True)
         if first is None:
-            first = math.exp(-rho * rho) * float(np.prod(factors[:, -1]))
+            first = decay * float(np.prod(factors[:, -1]))
             factors, i0 = factors[:, :-1], i0[:, :-1]
         # leave_out[j] = prod_{l<j} factors[l] * prod_{l>j} factors[l]
         leave_out = np.ones_like(factors)
         np.cumprod(factors[:-1], axis=0, out=leave_out[1:])
         leave_out[:-1] *= np.cumprod(factors[:0:-1], axis=0)[::-1]
         densities = _conditional_density(mu, rho, u, i0)
-        return math.exp(-rho * rho) * np.sum(densities * leave_out, axis=0)
+        return decay * np.sum(densities * leave_out, axis=0)
 
-    prefactor = _SQRT_2PI * rho * cfg.f_doppler
     try:
         second = _integrate_adaptive(integrand, 0.0, rho)
     except AccuracyError as exc:
         raise AccuracyError(
             f"theorem1 at N = {cfg.n_ports}, x_th = {float(x_th)!r}: {exc}",
-            partial=prefactor * (first + exc.partial),
+            partial=_SQRT_2PI * rho * (first + exc.partial) * cfg.f_doppler,
         ) from exc
-    return prefactor * (first + second)
+    return _SQRT_2PI * rho * (first + second) * cfg.f_doppler
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +298,7 @@ def lcr_two_port_series(cfg, mu, x_th):
     mu = _validate_mu(mu)
     if rho is None:
         return 0.0
-    prefactor = 2.0 * _SQRT_2PI * cfg.f_doppler * rho * math.exp(-rho2)
     y = rho2 / (1.0 - mu * mu)
+    b = math.sqrt(2.0 * y)
     # complement goes positionally: tracing wrappers take (a, b, *rest)
-    return prefactor * marcum_q1(mu * math.sqrt(2.0 * y), math.sqrt(2.0 * y), True)
+    return 2.0 * _SQRT_2PI * rho * math.exp(-rho2) * marcum_q1(mu * b, b, True) * cfg.f_doppler

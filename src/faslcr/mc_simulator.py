@@ -84,8 +84,8 @@ from typing import Optional
 
 import numpy as np
 
-from .channel_model import IDENTICAL_CHANNEL_CUTOFF, _check_config, _check_port_count
-from .channel_model import _validate_threshold, correlation_profile
+from .channel_model import _check_config, _check_port_count, _validate_threshold
+from .channel_model import correlation_profile
 from .errors import ConfigError, DomainError, _is_finite_number, _is_whole_number
 from .specfun import _as_float_array
 
@@ -409,14 +409,16 @@ def _select(x, y, sigma, mu, out, scratch):
     ``y`` that ``_synthesize`` returns.  fl(sqrt) and the product with
     sigma > 0 are monotone, so this equals
     ``fas_select(assemble_port_envelopes(...)).samples`` bit for bit, with
-    one sqrt and one scale per sample in place of one per port.  Ports at the
-    identical-channel cutoff repeat the reference port and are skipped.
+    one sqrt and one scale per sample in place of one per port.  Every port
+    with |mu| < 1 is computed, however close to 1.  A port with |mu| = 1 is
+    skipped: its sqrt(1 - mu^2) is 0, so its power equals the reference
+    port's bit for bit and cannot change the maximum.
     ``scratch`` holds three buffers of the length of ``out``.
     """
     power, pair = scratch[0], scratch[1:]
     _port_power(x, y, 0, 0.0, out, pair)
     for k in range(1, len(mu)):
-        if abs(mu[k]) < IDENTICAL_CHANNEL_CUTOFF:
+        if abs(mu[k]) < 1.0:
             np.maximum(out, _port_power(x, y, k, mu[k], power, pair), out=out)
     np.sqrt(out, out=out)
     out *= sigma
@@ -427,8 +429,8 @@ def assemble_port_envelopes(cfg, profile, base):
     """Combine the base processes into the N per-port envelope series.
 
     Port k's envelope is sigma sqrt(p_k) of its power p_k = re^2 + im^2
-    (``_port_power``).  A port at the identical-channel cutoff is a copy of
-    the reference port's envelope.
+    (``_port_power``), computed for every port with no shortcut: this is the
+    reference that the walk's fused selection is tested against.
     """
     _check_port_count(cfg, profile)
     if base.x.shape[0] != cfg.n_ports:
@@ -439,12 +441,9 @@ def assemble_port_envelopes(cfg, profile, base):
     scratch = (np.empty(n), np.empty(n))
     out = []
     for k, mu in enumerate(profile.mu):
-        if k and abs(mu) >= IDENTICAL_CHANNEL_CUTOFF:
-            samples = out[0].samples.copy()
-        else:
-            samples = _port_power(base.x, base.y, k, mu, np.empty(n), scratch)
-            np.sqrt(samples, out=samples)
-            samples *= cfg.sigma
+        samples = _port_power(base.x, base.y, k, mu, np.empty(n), scratch)
+        np.sqrt(samples, out=samples)
+        samples *= cfg.sigma
         out.append(EnvelopeSeries(samples=samples, dt=base.dt))
     return out
 

@@ -418,17 +418,20 @@ class TestTheorem1:
                     assert rate(scaled, prof, rho * sigma) == rate(unit, prof, rho)
 
     def test_doppler_linearity(self):
-        cfg1 = FasConfig(3, 0.2, sigma2=1.0, f_doppler=1.0)
-        cfg7 = FasConfig(3, 0.2, sigma2=1.0, f_doppler=7.0)
+        # every rate is formed at f_D = 1 and multiplied by f_D last, so it is
+        # f_D times its f_D = 1 value bit for bit, and stays finite where
+        # sqrt(2 pi) f_D alone would overflow
+        cfg1 = FasConfig(3, 0.2)
         prof = correlation_profile(cfg1)
-        for x in (0.4, 1.0, 2.0):
-            assert lcr_theorem1(cfg7, prof, x) == pytest.approx(
-                7.0 * lcr_theorem1(cfg1, prof, x), rel=1e-12
-            )
-        # NLCR is Doppler-invariant
-        assert lcr_theorem1(cfg7, prof, 1.0) / 7.0 == pytest.approx(
-            lcr_theorem1(cfg1, prof, 1.0), rel=1e-12
-        )
+        rates = (lcr_theorem1, lambda cfg, prof, x: lcr_iid(cfg, x),
+                 lambda cfg, prof, x: lcr_identical(cfg, x),
+                 lambda cfg, prof, x: lcr_two_port_series(replace(cfg, n_ports=2), 0.5, x))
+        for f_d in (7.0, 2.0 ** -1000, 1e308):
+            cfg = FasConfig(3, 0.2, f_doppler=f_d)
+            for rate in rates:
+                for x in (0.4, 1.0, 2.0):
+                    got = rate(cfg, prof, x)
+                    assert math.isfinite(got) and got == f_d * rate(cfg1, prof, x)
 
     @pytest.mark.parametrize("n, w", [(4, 0.1), (16, 3e-4), (64, 1e-3), (8, 1e-4)])
     def test_dense_profile_near_unity_correlation(self, n, w):

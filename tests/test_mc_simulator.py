@@ -340,7 +340,7 @@ class TestFasSelect:
 
 
 class TestFusedSelection:
-    @pytest.mark.parametrize("w", [0.3, 0.1, 0.0])     # at W = 0 every port is at the cutoff
+    @pytest.mark.parametrize("w", [0.3, 0.1, 0.0])     # at W = 0 every |mu_k| is 1
     @pytest.mark.parametrize("n", [1, 2, 4, 16])
     def test_bit_equal_to_selecting_the_port_envelopes(self, n, w):
         # read from the leading rows of a 16-port synthesis, as the walk does
@@ -354,6 +354,28 @@ class TestFusedSelection:
         got = _select(widest.x, widest.y, cfg.sigma, profile.mu, np.empty(size),
                       [np.empty(size) for _ in range(3)])
         assert np.array_equal(got, want)
+
+    def test_a_port_just_below_the_cutoff_is_simulated(self):
+        # at W = 2e-5 port 2 has 1 - mu_2 = 4.4e-10: within the identical-
+        # channel cutoff of 1, but a channel of its own that selection takes
+        cfg = FasConfig(4, 2e-5)
+        profile = correlation_profile(cfg)
+        mu = np.array(profile.mu)[1:, None]
+        assert 0.0 < 1.0 - mu[0, 0] < 1e-9
+        sim = SimParams.from_cycles(cfg, duration_cycles=300, seed=3)
+        base = generate_base_processes(cfg, sim)
+        root = np.sqrt(1.0 - mu * mu)
+        re = root * base.x[1:] + mu * base.x[:1]
+        im = root * base.y[1:] + mu * base.y[:1]
+        powers = np.vstack([base.x[:1] ** 2 + base.y[:1] ** 2, re * re + im * im])
+        want = cfg.sigma * np.sqrt(powers.max(axis=0))
+        size = sim.n_samples
+        got = _select(base.x, base.y, cfg.sigma, profile.mu, np.empty(size),
+                      [np.empty(size) for _ in range(3)])
+        assert np.array_equal(got, want)
+        assert np.array_equal(fas_select(assemble_port_envelopes(cfg, profile, base)).samples,
+                              want)
+        assert not np.array_equal(want, cfg.sigma * np.sqrt(powers[0]))
 
 
 class TestRankCounting:
@@ -737,6 +759,15 @@ class TestEstimateLcr:
         for est in estimate_lcr(cfg, sim, [0.7, 1.0]):
             want = lcr_identical(cfg, est.threshold)
             assert est.nlcr == pytest.approx(want, rel=0.05)
+
+    @pytest.mark.parametrize("n", [2, 16])
+    def test_fully_correlated_ports_give_the_reference_crossings(self, n):
+        # at W = 0 every |mu_k| is 1, and the walk skips those ports: their
+        # powers equal the reference port's bit for bit
+        sim = SimParams.from_cycles(FasConfig(1, 0.0), duration_cycles=300, seed=5)
+        thresholds = np.linspace(0.05, 3.0, 20).tolist()
+        assert (estimate_lcr(FasConfig(n, 0.0), sim, thresholds)
+                == estimate_lcr(FasConfig(1, 0.0), sim, thresholds))
 
 
 class TestSlopeMoment:
